@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Any, Iterable
 
 from .rng import derive_seed, mix64
@@ -54,7 +55,7 @@ PARAMETRIC_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate application. ``targets`` order matters for CX (control, target)."""
 
@@ -146,6 +147,17 @@ def inverse(gates: Iterable[Gate]) -> list[Gate]:
     return out
 
 
+@cache
+def _benchmark_body(q: int) -> tuple[Gate, ...]:
+    """Segments (b) to (d): they depend on q alone, so each width is built once.
+
+    Gates are frozen, so every benchmark of width q shares this one tuple.
+    """
+    ladder = _fourier_ladder(q)
+    adder = [Gate(GateKind.P, (i,), 2 * math.pi * (1 << i) / (1 << q)) for i in range(q)]
+    return (*ladder, *adder, *inverse(ladder))
+
+
 def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
     """Build the q-qubit Fourier-adder benchmark on input n.
 
@@ -156,15 +168,11 @@ def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
         raise ValueError("q must be >= 1")
     if not 0 <= n < (1 << q):
         raise ValueError(f"n={n} out of range for {q} qubits")
-    gates: list[Gate] = [Gate(GateKind.X, (i,)) for i in range(q) if (n >> i) & 1]
-    ladder = _fourier_ladder(q)
-    gates += ladder
-    gates += [Gate(GateKind.P, (i,), 2 * math.pi * (1 << i) / (1 << q)) for i in range(q)]
-    gates += inverse(ladder)
+    prefix = tuple(Gate(GateKind.X, (i,)) for i in range(q) if (n >> i) & 1)
     meta: dict[str, Any] = {"benchmark": "fourier_adder", "q": q, "n": n}
     if seed is not None:
         meta["seed"] = seed
-    return Circuit(width=q, gates=tuple(gates), metadata=meta)
+    return Circuit(width=q, gates=prefix + _benchmark_body(q), metadata=meta)
 
 
 def random_input(q: int, seed: int) -> int:

@@ -285,7 +285,7 @@ def _resolve_store(flag: str | None, config_value: str | None = None) -> str:
         return flag
     if config_value:
         return config_value
-    return default_store_path()
+    return str(default_store_path())
 
 
 def cmd_campaign_run(args) -> int:

@@ -52,6 +52,7 @@ from .transpiler import (
     TranspileResult,
     check_gate_limit,
     default_gate_limit,
+    lowering_memo,
     transpile,
 )
 
@@ -132,6 +133,12 @@ class DailyWindowSchedule:
     end: int
     outside: TargetStatus = ACCEPT_HOLD
 
+    def __post_init__(self) -> None:
+        if not (0 <= self.start < DAY and 0 <= self.end < DAY):
+            raise ValueError("window start and end must lie within [0, DAY)")
+        if self.start == self.end:
+            raise ValueError("window start must differ from end")
+
     def _inside(self, clock: int) -> bool:
         s = clock % DAY
         if self.start <= self.end:
@@ -162,6 +169,8 @@ class RecurringOutageSchedule:
     outage_status: TargetStatus = UNAVAILABLE
 
     def __post_init__(self) -> None:
+        if self.period <= 0 or self.outage_len <= 0:
+            raise ValueError("period and outage_len must be positive")
         if not 0 <= self.outage_start < self.period:
             raise ValueError("outage_start must lie within the period")
         if self.outage_start + self.outage_len > self.period:
@@ -260,6 +269,9 @@ class SimProvider:
 
     def __init__(self, target: TargetProfile):
         self.target = target
+        # held, not used: while any provider holds it, ``transpile`` reuses
+        # its lowerings, so a campaign lowers each distinct gate once
+        self._memo = lowering_memo(target.gate_profile)
         self._lock = threading.Lock()
         self._handles: dict[str, JobHandle] = {}
         self._counter = 0

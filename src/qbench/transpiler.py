@@ -18,12 +18,18 @@ No rewrite-level optimization is performed: rules fire gate by gate and the
 output is exactly the concatenation of per-gate expansions.  Every expansion
 is unitary-equal to its source gate once the tracked global phase is applied,
 so a lowered circuit is equivalent to its source up to global phase.
+
+Because rules fire gate by gate, each distinct source gate is lowered once
+and its expansion reused from a ``LoweringMemo``.  A memo lives as long as
+something holds it (each ``SimProvider`` holds the one for its profile), so
+a campaign lowers each distinct gate once and frees the memo when it ends.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -198,23 +204,73 @@ def _lower_redundant(g: Gate) -> tuple[list[Gate], float]:
     raise ValueError(f"no redundant lowering for {k}")
 
 
+_Lowering = tuple[tuple[Gate, ...], float, int]  # expansion, phase, one-qubit count
+
+
+class LoweringMemo:
+    """Lowerings of distinct source gates under one profile.
+
+    A key is the gate's value plus the sign of its angle, because
+    ``-0.0 == 0.0`` while the two can lower to different angle bits.
+    """
+
+    __slots__ = ("profile", "entries", "__weakref__")
+
+    def __init__(self, profile: GateSetProfile) -> None:
+        self.profile = profile
+        self.entries: dict[tuple, _Lowering] = {}
+
+    def lower(self, g: Gate) -> _Lowering:
+        """Lower one gate and check, once per distinct gate, that it came out native."""
+        lower = (
+            _lower_efficient
+            if self.profile.cp_strategy is CpStrategy.DIRECT_ENTANGLER
+            else _lower_redundant
+        )
+        expansion, phase = lower(g)
+        n_1q = 0
+        for out in expansion:
+            native = self.profile.native_1q if out.arity == 1 else {self.profile.native_2q}
+            if out.kind not in native:
+                raise AssertionError(f"lowering emitted non-native {out.kind}")
+            n_1q += out.arity == 1
+        return tuple(expansion), phase, n_1q
+
+
+_MEMOS: weakref.WeakValueDictionary[GateSetProfile, LoweringMemo] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def lowering_memo(profile: GateSetProfile) -> LoweringMemo:
+    """The live memo for ``profile``, made if nothing holds one.
+
+    Holding the result keeps lowerings across ``transpile`` calls; once
+    nothing holds it, it is freed.
+    """
+    memo = _MEMOS.get(profile)
+    if memo is None:
+        memo = _MEMOS[profile] = LoweringMemo(profile)
+    return memo
+
+
 def transpile(circuit: Circuit, profile: GateSetProfile) -> TranspileResult:
     """Lower every gate to the profile's native set; tracks global phase."""
-    lower = (
-        _lower_efficient
-        if profile.cp_strategy is CpStrategy.DIRECT_ENTANGLER
-        else _lower_redundant
-    )
+    memo = lowering_memo(profile)
+    entries = memo.entries
     gates: list[Gate] = []
     phase = 0.0
+    n_1q = 0
     for g in circuit.gates:
-        expansion, extra = lower(g)
+        theta = g.theta
+        key = (g.kind, g.targets, theta, theta is not None and math.copysign(1.0, theta))
+        hit = entries.get(key)
+        if hit is None:
+            hit = entries[key] = memo.lower(g)
+        expansion, extra, ones = hit
         gates += expansion
         phase += extra
-    for g in gates:
-        native = profile.native_1q if g.arity == 1 else {profile.native_2q}
-        if g.kind not in native:
-            raise AssertionError(f"lowering emitted non-native {g.kind}")
+        n_1q += ones
     out = Circuit(
         width=circuit.width,
         gates=tuple(gates),
@@ -224,7 +280,7 @@ def transpile(circuit: Circuit, profile: GateSetProfile) -> TranspileResult:
         circuit=out,
         global_phase=phase % (2 * math.pi),
         source_census=census(circuit),
-        census=census(out),
+        census=GateCensus(n_1q=n_1q, n_2q=len(gates) - n_1q),
     )
 
 
@@ -268,6 +324,7 @@ def default_gate_limit(accept_q: int = 16, reject_q: int = 18) -> int:
     (all input bits set) and the smallest possible reject_q total (input 0),
     so acceptance depends only on width, never on the benchmark input.
     """
+    held = lowering_memo(REDUNDANT)  # the two lowerings share their ladder gates
     hi = transpile(build_benchmark(accept_q, (1 << accept_q) - 1), REDUNDANT).census.total
     lo = transpile(build_benchmark(reject_q, 0), REDUNDANT).census.total
     if hi >= lo:

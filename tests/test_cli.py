@@ -250,3 +250,15 @@ def test_env_store_is_honored(tmp_path, monkeypatch):
     code, _, _ = run_cli("campaign", "run", "--config", cfg)
     assert code == 0
     assert len(JobStore(env_store)) == 4
+
+
+def test_json_campaign_with_default_store(tmp_path, monkeypatch):
+    # no --store flag, no store key and no $QBENCH_STORE: ./qbench_jobs.jsonl
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QBENCH_STORE", raising=False)
+    code, out, _ = run_cli("--json", "campaign", "run", "--config", cfg)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["store"] == "qbench_jobs.jsonl"
+    assert len(JobStore(tmp_path / "qbench_jobs.jsonl")) == summary["jobs"] == 4

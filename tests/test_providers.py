@@ -77,6 +77,26 @@ def test_recurring_outage_validation():
         RecurringOutageSchedule(period=10, outage_start=8, outage_len=5)
 
 
+@pytest.mark.parametrize(
+    "start, end",
+    [(-1, 2 * H), (DAY, 2 * H), (9 * H, -1), (9 * H, DAY), (9 * H, 9 * H)],
+    ids=["start-negative", "start-past-day", "end-negative", "end-past-day", "start-equals-end"],
+)
+def test_daily_window_validation(start, end):
+    with pytest.raises(ValueError):
+        DailyWindowSchedule(start=start, end=end)
+
+
+@pytest.mark.parametrize(
+    "period, outage_len",
+    [(0, 1), (-10, 1), (10, 0), (10, -1)],
+    ids=["period-zero", "period-negative", "outage-len-zero", "outage-len-negative"],
+)
+def test_recurring_outage_rejects_nonpositive(period, outage_len):
+    with pytest.raises(ValueError):
+        RecurringOutageSchedule(period=period, outage_start=0, outage_len=outage_len)
+
+
 def test_target_status_validation():
     with pytest.raises(ValueError):
         TargetStatus(TargetState.DEGRADED)  # kind missing
