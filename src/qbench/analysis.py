@@ -24,9 +24,7 @@ from typing import Iterable, Mapping
 from .circuit import ideal_output
 from .costing import Money
 from .providers import JobStatus
-from .store import JobRecord
-
-SUCCESS_THRESHOLD = math.exp(-1)
+from .store import SUCCESS_THRESHOLD, JobRecord
 
 
 def hellinger_fidelity(

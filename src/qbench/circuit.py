@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Iterable
 
 from .rng import derive_seed, mix64
@@ -69,7 +71,7 @@ class Gate:
             raise ValueError(f"{self.kind.value} expects {want} target(s), got {self.targets}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets {self.targets}")
-        if any(t < 0 for t in self.targets):
+        if min(self.targets) < 0:
             raise ValueError(f"negative target in {self.targets}")
         if self.kind in PARAMETRIC_KINDS:
             if self.theta is None or not math.isfinite(self.theta):
@@ -97,6 +99,9 @@ class GateCensus:
         return {"n_1q": self.n_1q, "n_2q": self.n_2q, "total": self.total}
 
 
+_targets = attrgetter("targets")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Immutable gate list on ``width`` qubits plus free-form metadata."""
@@ -104,19 +109,45 @@ class Circuit:
     width: int
     gates: tuple[Gate, ...]
     metadata: dict[str, Any] = field(default_factory=dict)
+    _census: GateCensus | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if max(g.targets) >= self.width:
-                raise ValueError(f"gate {g} out of range for width {self.width}")
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        # one C-level pass over all targets; the gate is named only on failure
+        if gates and max(chain.from_iterable(map(_targets, gates))) >= self.width:
+            bad = next(g for g in gates if max(g.targets) >= self.width)
+            raise ValueError(f"gate {bad} out of range for width {self.width}")
+
+    @classmethod
+    def _lowered(
+        cls, width: int, gates: tuple[Gate, ...], metadata: dict[str, Any], gate_census: GateCensus
+    ) -> "Circuit":
+        """The output of ``transpile``, built without the per-gate range walk.
+
+        Only ``transpile`` calls this.  Its source circuit was range-checked,
+        and every gate it emits comes from a ``LoweringMemo`` expansion that
+        was checked to act only on its source gate's targets, so every gate
+        is already in range.  ``gate_census`` is the census of ``gates``,
+        summed from the same expansions, and ``census`` returns it as is.
+        """
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "width", width)
+        object.__setattr__(circuit, "gates", gates)
+        object.__setattr__(circuit, "metadata", metadata)
+        object.__setattr__(circuit, "_census", gate_census)
+        return circuit
 
 
 def census(circuit: Circuit) -> GateCensus:
-    n1 = sum(1 for g in circuit.gates if g.arity == 1)
-    return GateCensus(n_1q=n1, n_2q=len(circuit.gates) - n1)
+    if circuit._census is not None:
+        return circuit._census
+    gates = circuit.gates
+    # Gate admits one or two targets, so each gate past one target is two-qubit
+    n_2q = sum(map(len, map(_targets, gates))) - len(gates)
+    return GateCensus(n_1q=len(gates) - n_2q, n_2q=n_2q)
 
 
 def ideal_output(q: int, n: int) -> str:
@@ -148,6 +179,12 @@ def inverse(gates: Iterable[Gate]) -> list[Gate]:
 
 
 @cache
+def _x_gate(i: int) -> Gate:
+    """One shared X gate per qubit index, for segment (a)."""
+    return Gate(GateKind.X, (i,))
+
+
+@cache
 def _benchmark_body(q: int) -> tuple[Gate, ...]:
     """Segments (b) to (d): they depend on q alone, so each width is built once.
 
@@ -168,7 +205,7 @@ def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
         raise ValueError("q must be >= 1")
     if not 0 <= n < (1 << q):
         raise ValueError(f"n={n} out of range for {q} qubits")
-    prefix = tuple(Gate(GateKind.X, (i,)) for i in range(q) if (n >> i) & 1)
+    prefix = tuple(_x_gate(i) for i in range(q) if (n >> i) & 1)
     meta: dict[str, Any] = {"benchmark": "fourier_adder", "q": q, "n": n}
     if seed is not None:
         meta["seed"] = seed

@@ -17,10 +17,12 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, get_args, get_type_hints
 
 from .analysis import REPORT_KINDS, benchmark_fidelity, write_report
 from .circuit import build_benchmark, random_input
@@ -259,15 +261,59 @@ def _print_campaign_summary(summary: dict) -> None:
     print(f"total cost {summary['total_cost_usd']}")
 
 
-def _coerce_filter_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"{text!r} is not true or false")
+    return text.lower() == "true"
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+# filter text to the flat value the store compares, by declared field type;
+# money is written in USD and compared in micro-USD
+_PARSE_BY_TYPE = {
+    str: str,
+    int: int,
+    float: _parse_float,
+    bool: _parse_bool,
+    JobStatus: lambda text: JobStatus(text).value,
+    Money: lambda text: Money.from_usd(text).micros,
+}
+
+
+def _field_type(hint):
+    """The declared type of a ``JobRecord`` field, with ``| None`` dropped."""
+    if isinstance(hint, UnionType):
+        (hint,) = [t for t in get_args(hint) if t is not type(None)]
+    return hint
+
+
+_FILTER_PARSERS = {
+    name: _PARSE_BY_TYPE.get(_field_type(hint))
+    for name, hint in get_type_hints(JobRecord).items()
+}
+
+
+def _coerce_filter_value(key: str, text: str):
+    """Parse a filter value by the type of the field ``key`` names.
+
+    A name that is not a field passes through, so the store reports it.
+    """
+    name = key.partition("__")[0]
+    if name not in _FILTER_PARSERS:
+        return text
+    parse = _FILTER_PARSERS[name]
+    if parse is None:
+        raise ConfigError(f"field {name!r} cannot be filtered")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for filter {key!r}: {exc}") from exc
 
 
 def _parse_filters(pairs: Sequence[str]) -> dict:
@@ -276,7 +322,7 @@ def _parse_filters(pairs: Sequence[str]) -> dict:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigError(f"filters take key=value form, got {pair!r}")
-        filters[key] = _coerce_filter_value(value)
+        filters[key] = _coerce_filter_value(key, value)
     return filters
 
 

@@ -30,7 +30,7 @@ from .circuit import GateCensus
 from .costing import Money
 from .providers import JobStatus
 
-_SUCCESS_THRESHOLD = math.exp(-1)  # shared with analysis.classify_success
+SUCCESS_THRESHOLD = math.exp(-1)  # fidelity >= 1/e is a success; analysis.classify_success too
 
 
 class StoreError(Exception):
@@ -77,7 +77,7 @@ class JobRecord:
                 raise StoreError(f"{self.job_id}: counts do not sum to shots")
             if not 0.0 <= self.fidelity <= 1.0:
                 raise StoreError(f"{self.job_id}: fidelity outside [0, 1]")
-            if self.success != (self.fidelity >= _SUCCESS_THRESHOLD):
+            if self.success != (self.fidelity >= SUCCESS_THRESHOLD):
                 raise StoreError(f"{self.job_id}: success flag contradicts fidelity")
             if self.executed_at is None:
                 raise StoreError(f"{self.job_id}: processed record missing executed_at")

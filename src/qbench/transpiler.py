@@ -23,6 +23,8 @@ Because rules fire gate by gate, each distinct source gate is lowered once
 and its expansion reused from a ``LoweringMemo``.  A memo lives as long as
 something holds it (each ``SimProvider`` holds the one for its profile), so
 a campaign lowers each distinct gate once and frees the memo when it ends.
+The memo checks each expansion when it stores it, so ``transpile`` neither
+range-checks nor counts its output gate by gate.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -105,9 +108,16 @@ def euler_zyz(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, phi, theta, lam
 
 
-def _euler_triple(gate: Gate) -> tuple[list[Gate], float]:
+def _euler_angles(gate: Gate) -> tuple[float, float, float, float]:
+    return euler_zyz(gate_matrix(gate))
+
+
+_Euler = Callable[[Gate], tuple[float, float, float, float]]
+
+
+def _euler_triple(gate: Gate, euler: _Euler = _euler_angles) -> tuple[list[Gate], float]:
     """Full ZYZ expansion of a one-qubit gate, zero angles included."""
-    alpha, phi, theta, lam = euler_zyz(gate_matrix(gate))
+    alpha, phi, theta, lam = euler(gate)
     (t,) = gate.targets
     return (
         [Gate(GateKind.RZ, (t,), lam), Gate(GateKind.RY, (t,), theta), Gate(GateKind.RZ, (t,), phi)],
@@ -168,12 +178,12 @@ def _lower_efficient(g: Gate) -> tuple[list[Gate], float]:
     raise ValueError(f"no efficient lowering for {k}")
 
 
-def _lower_redundant(g: Gate) -> tuple[list[Gate], float]:
+def _lower_redundant(g: Gate, euler: _Euler = _euler_angles) -> tuple[list[Gate], float]:
     k = g.kind
     if g.arity == 1:
         # every one-qubit gate goes through the Euler canonicalizer, even
         # native rotations; identity-angle padding is emitted on purpose
-        return _euler_triple(g)
+        return _euler_triple(g, euler)
     if k is GateKind.CX:
         return [g], 0.0
     if k is GateKind.CP:
@@ -182,7 +192,7 @@ def _lower_redundant(g: Gate) -> tuple[list[Gate], float]:
         out: list[Gate] = []
         phase = t / 4
         for rz_target, angle, cx_after in ((a, t / 2, True), (b, -t / 2, True), (b, t / 2, False)):
-            triple, extra = _euler_triple(Gate(GateKind.RZ, (rz_target,), angle))
+            triple, extra = _euler_triple(Gate(GateKind.RZ, (rz_target,), angle), euler)
             out += triple
             phase += extra
             if cx_after:
@@ -190,7 +200,7 @@ def _lower_redundant(g: Gate) -> tuple[list[Gate], float]:
         return out, phase
     if k is GateKind.ZZ:
         a, b = g.targets
-        triple, extra = _euler_triple(Gate(GateKind.RZ, (b,), g.theta))
+        triple, extra = _euler_triple(Gate(GateKind.RZ, (b,), g.theta), euler)
         return (
             [Gate(GateKind.CX, (a, b)), *triple, Gate(GateKind.CX, (a, b))],
             extra,
@@ -211,28 +221,44 @@ class LoweringMemo:
     """Lowerings of distinct source gates under one profile.
 
     A key is the gate's value plus the sign of its angle, because
-    ``-0.0 == 0.0`` while the two can lower to different angle bits.
+    ``-0.0 == 0.0`` while the two can lower to different angle bits.  Euler
+    angles are held too, keyed the same way without the targets, so gates
+    that differ only in where they act share one ``euler_zyz`` call.
     """
 
-    __slots__ = ("profile", "entries", "__weakref__")
+    __slots__ = ("profile", "entries", "angles", "__weakref__")
 
     def __init__(self, profile: GateSetProfile) -> None:
         self.profile = profile
         self.entries: dict[tuple, _Lowering] = {}
+        self.angles: dict[tuple, tuple[float, float, float, float]] = {}
+
+    def _euler(self, g: Gate) -> tuple[float, float, float, float]:
+        theta = g.theta
+        key = (g.kind, theta, theta is not None and math.copysign(1.0, theta))
+        angles = self.angles.get(key)
+        if angles is None:
+            angles = self.angles[key] = _euler_angles(g)
+        return angles
 
     def lower(self, g: Gate) -> _Lowering:
-        """Lower one gate and check, once per distinct gate, that it came out native."""
-        lower = (
-            _lower_efficient
-            if self.profile.cp_strategy is CpStrategy.DIRECT_ENTANGLER
-            else _lower_redundant
-        )
-        expansion, phase = lower(g)
+        """Lower one gate and check, once per distinct gate, its output.
+
+        Every emitted gate must be native and act only on ``g``'s targets,
+        so a lowered circuit needs no range check of its own.
+        """
+        if self.profile.cp_strategy is CpStrategy.DIRECT_ENTANGLER:
+            expansion, phase = _lower_efficient(g)
+        else:
+            expansion, phase = _lower_redundant(g, self._euler)
         n_1q = 0
+        allowed = frozenset(g.targets)
         for out in expansion:
             native = self.profile.native_1q if out.arity == 1 else {self.profile.native_2q}
             if out.kind not in native:
                 raise AssertionError(f"lowering emitted non-native {out.kind}")
+            if not allowed.issuperset(out.targets):
+                raise AssertionError(f"lowering of {g} emitted {out} on a foreign qubit")
             n_1q += out.arity == 1
         return tuple(expansion), phase, n_1q
 
@@ -271,16 +297,18 @@ def transpile(circuit: Circuit, profile: GateSetProfile) -> TranspileResult:
         gates += expansion
         phase += extra
         n_1q += ones
-    out = Circuit(
-        width=circuit.width,
-        gates=tuple(gates),
-        metadata={**circuit.metadata, "profile": profile.name},
+    lowered_census = GateCensus(n_1q=n_1q, n_2q=len(gates) - n_1q)
+    out = Circuit._lowered(
+        circuit.width,
+        tuple(gates),
+        {**circuit.metadata, "profile": profile.name},
+        lowered_census,
     )
     return TranspileResult(
         circuit=out,
         global_phase=phase % (2 * math.pi),
         source_census=census(circuit),
-        census=GateCensus(n_1q=n_1q, n_2q=len(gates) - n_1q),
+        census=lowered_census,
     )
 
 

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from qbench.cli import ConfigError, _parse_qubits, load_config, main
+from qbench.costing import Money
 from qbench.providers import JobStatus
 from qbench.store import JobStore
+from test_store import make_record, processed_record
 
 
 def run_cli(*args):
@@ -197,6 +199,79 @@ def test_report_filters_coerce_types(tmp_path):
     )
     assert code == 0
     assert json.loads(out)["rows"] == 2
+
+
+def _export_ids(store_path, tmp_path, *filters):
+    out_csv = tmp_path / "ids.csv"
+    args = ["--store", str(store_path), "store", "export", "--columns", "job_id"]
+    for f in filters:
+        args += ["--filter", f]
+    code, _, err = run_cli(*args, "--out", str(out_csv))
+    ids = out_csv.read_text().splitlines()[1:] if code == 0 else []
+    return code, ids, err
+
+
+@pytest.fixture
+def typed_store(tmp_path):
+    path = tmp_path / "typed.jsonl"
+    store = JobStore(path)
+    store.append(make_record(1, job_id="000123"))
+    store.append(make_record(2, job_id="123"))
+    store.append(processed_record(3, cost=Money.from_usd("1.03")))
+    store.append(processed_record(4, fidelity=0.25, cost=Money.from_usd("15.30")))
+    return path
+
+
+def test_filter_string_field_keeps_leading_zeros(typed_store, tmp_path):
+    assert _export_ids(typed_store, tmp_path, "job_id=000123")[:2] == (0, ["000123"])
+    assert _export_ids(typed_store, tmp_path, "job_id=123")[:2] == (0, ["123"])
+
+
+def test_filter_cost_is_read_in_usd(typed_store, tmp_path):
+    assert _export_ids(typed_store, tmp_path, "cost__gt=1.5")[:2] == (0, ["job-0004"])
+    assert _export_ids(typed_store, tmp_path, "cost=1.03")[:2] == (0, ["job-0003"])
+    assert _export_ids(typed_store, tmp_path, "cost__le=1.03", "cost__ge=0.5")[:2] == (
+        0,
+        ["job-0003"],
+    )
+
+
+def test_filter_values_follow_field_types(typed_store, tmp_path):
+    assert _export_ids(typed_store, tmp_path, "qubits=010", "success=TRUE")[:2] == (
+        0,
+        ["job-0003"],
+    )
+    assert _export_ids(typed_store, tmp_path, "fidelity__lt=0.5")[1] == ["job-0004"]
+    assert _export_ids(typed_store, tmp_path, "status=processed", "shots=500")[1] == [
+        "job-0003",
+        "job-0004",
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "qubits=six",
+        "shots__ge=1.5",
+        "cost__gt=0.0000001",
+        "cost=twelve",
+        "status=finished",
+        "success=yes",
+        "fidelity__ge=nan",
+        "census=280",
+        "counts=1",
+    ],
+)
+def test_filter_value_of_the_wrong_type_is_exit_2(typed_store, tmp_path, bad):
+    code, _, err = _export_ids(typed_store, tmp_path, bad)
+    assert code == 2
+    assert "config error" in err
+
+
+def test_filter_on_unknown_field_is_a_store_error(typed_store, tmp_path):
+    code, _, err = _export_ids(typed_store, tmp_path, "qbits=6")
+    assert code == 3
+    assert "unknown query field" in err
 
 
 def test_store_export_subcommand(tmp_path):

@@ -4,7 +4,8 @@
 originals: the benchmark is built gate by gate for every call, and every
 source gate is lowered again, with the native check and the census run over
 the whole output.  The fast paths must match them byte for byte, with the
-global phase equal to the bit.
+global phase equal to the bit.  ``oracle_census`` counts gate by gate; the
+census a lowered circuit carries from its memo must equal it.
 """
 
 import gc
@@ -17,6 +18,7 @@ from qbench import transpiler
 from qbench.circuit import (
     Circuit,
     Gate,
+    GateCensus,
     GateKind,
     _fourier_ladder,
     build_benchmark,
@@ -31,6 +33,7 @@ from qbench.transpiler import (
     PROFILES,
     REDUNDANT,
     CpStrategy,
+    LoweringMemo,
     TranspileResult,
     lowering_memo,
     transpile,
@@ -53,6 +56,11 @@ def oracle_build_benchmark(q, n, *, seed=None):
     if seed is not None:
         meta["seed"] = seed
     return Circuit(width=q, gates=tuple(gates), metadata=meta)
+
+
+def oracle_census(circuit):
+    n_1q = sum(1 for g in circuit.gates if g.arity == 1)
+    return GateCensus(n_1q=n_1q, n_2q=len(circuit.gates) - n_1q)
 
 
 def oracle_transpile(circuit, profile):
@@ -79,8 +87,8 @@ def oracle_transpile(circuit, profile):
     return TranspileResult(
         circuit=out,
         global_phase=phase % (2 * math.pi),
-        source_census=census(circuit),
-        census=census(out),
+        source_census=oracle_census(circuit),
+        census=oracle_census(out),
     )
 
 
@@ -89,6 +97,7 @@ def assert_same_lowering(got, want, want_json=None):
     assert got.global_phase.hex() == want.global_phase.hex()
     assert got.census == want.census
     assert got.source_census == want.source_census
+    assert census(got.circuit) == oracle_census(got.circuit) == got.census
 
 
 def inputs(q):
@@ -125,10 +134,12 @@ def test_signed_zero_angles_keep_their_sign(profile):
         Gate(GateKind.P, (0,), 0.0),
         Gate(GateKind.P, (0,), -0.0),
         Gate(GateKind.RZ, (0,), -0.0),
+        # RZ(-0.0) and RZ(0.0) differ in one Euler angle's sign bit
+        Gate(GateKind.RZ, (0,), 0.0),
     ):
         circuit = Circuit(1, (gate,))
         assert_same_lowering(transpile(circuit, profile), oracle_transpile(circuit, profile))
-    assert len(held.entries) == 3
+    assert len(held.entries) == 4
 
 
 def test_providers_of_one_profile_share_a_memo():
@@ -154,3 +165,39 @@ def test_no_memo_outlives_its_campaign(tmp_path):
     _criterion_08_store(tmp_path)
     gc.collect()
     assert list(transpiler._MEMOS.keys()) == []
+
+
+def _shifted(rule, source):
+    """``rule``, except that ``source`` lowers to gates one qubit higher."""
+
+    def patched(g, *args):
+        expansion, phase = rule(g, *args)
+        if g != source:
+            return expansion, phase
+        return [Gate(e.kind, tuple(t + 1 for t in e.targets), e.theta) for e in expansion], phase
+
+    return patched
+
+
+@pytest.mark.parametrize("profile", [EFFICIENT, REDUNDANT], ids=lambda p: p.name)
+def test_memo_refuses_an_expansion_on_a_foreign_qubit(profile, monkeypatch):
+    rule = "_lower_efficient" if profile is EFFICIENT else "_lower_redundant"
+    source = Gate(GateKind.P, (0,), 0.5)
+    monkeypatch.setattr(transpiler, rule, _shifted(getattr(transpiler, rule), source))
+    memo = LoweringMemo(profile)
+    memo.lower(Gate(GateKind.P, (1,), 0.5))  # other gates lower as before
+    with pytest.raises(AssertionError, match="foreign qubit"):
+        memo.lower(source)
+    # in range for the circuit, but not the source gate's qubit: refused all the same
+    with pytest.raises(AssertionError, match="foreign qubit"):
+        transpile(Circuit(2, (source,)), profile)
+    with pytest.raises(AssertionError, match="foreign qubit"):
+        transpile(Circuit(1, (source,)), profile)
+
+
+@pytest.mark.parametrize("profile", [EFFICIENT, REDUNDANT], ids=lambda p: p.name)
+def test_memo_refuses_a_non_native_expansion(profile, monkeypatch):
+    rule = "_lower_efficient" if profile is EFFICIENT else "_lower_redundant"
+    monkeypatch.setattr(transpiler, rule, lambda g, *args: ([Gate(GateKind.P, g.targets, 0.5)], 0.0))
+    with pytest.raises(AssertionError, match="non-native"):
+        LoweringMemo(profile).lower(Gate(GateKind.RZ, (0,), 0.5))
