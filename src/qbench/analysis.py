@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -161,112 +162,100 @@ def queue_prediction(records: Iterable[JobRecord]) -> QueuePrediction:
 
 # --- report tables ---------------------------------------------------------------
 
-REPORT_KINDS = (
-    "fidelity_vs_qubits",
-    "fidelity_vs_time",
-    "cost_vs_fidelity",
-    "availability",
-    "queue_prediction",
-    "table6",
-)
+_Table = tuple[list[str], list[list]]  # header, rows
 
 
 def _usd(m: Money) -> str:
-    cents = m.cents_half_up()
-    sign = "-" if cents < 0 else ""
-    return f"{sign}{abs(cents) // 100}.{abs(cents) % 100:02d}"
+    return str(m).replace("$", "", 1)
+
+
+def _processed(records: list[JobRecord], key) -> list[JobRecord]:
+    return sorted((r for r in records if r.status is JobStatus.PROCESSED), key=key)
+
+
+def _fidelity_vs_qubits(records: list[JobRecord]) -> _Table:
+    header = ["qubits", "cloud", "target", "fidelity", "job_id"]
+    done = _processed(records, lambda r: (r.qubits, r.cloud, r.target, r.submitted_at, r.job_id))
+    return header, [[r.qubits, r.cloud, r.target, repr(r.fidelity), r.job_id] for r in done]
+
+
+def _fidelity_vs_time(records: list[JobRecord]) -> _Table:
+    header = ["submitted_at", "cloud", "target", "qubits", "fidelity", "job_id"]
+    done = _processed(records, lambda r: (r.submitted_at, r.job_id))
+    return header, [
+        [r.submitted_at, r.cloud, r.target, r.qubits, repr(r.fidelity), r.job_id] for r in done
+    ]
+
+
+def _cost_vs_fidelity(records: list[JobRecord]) -> _Table:
+    header = ["qubits", "cloud", "target", "jobs", "cost", "fidelity"]
+    return header, [
+        [a.qubits, a.cloud, a.target, a.jobs, _usd(a.mean_cost), f"{a.mean_fidelity:.6f}"]
+        for a in aggregate(records)
+    ]
+
+
+_STATUS_COLUMNS = ("processed", "submitted", "error", "canceled", "unavailable")
+
+
+def _availability(records: list[JobRecord]) -> _Table:
+    header = ["target", "cloud", "attempts", *_STATUS_COLUMNS, "accepting_fraction"]
+    by_target: dict[tuple[str, str], Counter[str]] = {}
+    for r in records:
+        by_target.setdefault((r.target, r.cloud), Counter())[r.status.value] += 1
+    rows = []
+    for (target, cloud), seen in sorted(by_target.items()):
+        n = seen.total()
+        accepting = (n - seen["unavailable"]) / n
+        rows.append([target, cloud, n, *(seen[s] for s in _STATUS_COLUMNS), f"{accepting:.4f}"])
+    return header, rows
+
+
+def _queue_prediction(records: list[JobRecord]) -> _Table:
+    header = ["job_id", "predicted_wait", "actual_wait", "overestimated"]
+    pairs = queue_prediction(records).pairs
+    return header, [[job_id, repr(p), repr(a), str(p > a).lower()] for job_id, p, a in pairs]
+
+
+def _table6(records: list[JobRecord]) -> _Table:
+    header = [
+        "index", "qubits", "cloud", "target", "fidelity", "fid_std", "jobs", "cost", "cost_std"
+    ]
+    rows = [
+        [
+            i,
+            a.qubits,
+            a.cloud,
+            a.target,
+            f"{a.mean_fidelity:.6f}",
+            f"{a.fidelity_std:.6f}",
+            a.jobs,
+            _usd(a.mean_cost),
+            _usd(a.cost_std),
+        ]
+        for i, a in enumerate(aggregate(records))
+    ]
+    return header, rows
+
+
+# report kind -> builder returning (header, rows)
+_REPORTS = {
+    "fidelity_vs_qubits": _fidelity_vs_qubits,
+    "fidelity_vs_time": _fidelity_vs_time,
+    "cost_vs_fidelity": _cost_vs_fidelity,
+    "availability": _availability,
+    "queue_prediction": _queue_prediction,
+    "table6": _table6,
+}
+
+REPORT_KINDS = tuple(_REPORTS)
 
 
 def write_report(kind: str, records: list[JobRecord], out_path: str) -> int:
     """Write one CSV data file; returns the number of data rows."""
-    if kind not in REPORT_KINDS:
+    if kind not in _REPORTS:
         raise ValueError(f"unknown report kind {kind!r}")
-    rows: list[list] = []
-    if kind == "fidelity_vs_qubits":
-        header = ["qubits", "cloud", "target", "fidelity", "job_id"]
-        done = [r for r in records if r.status is JobStatus.PROCESSED]
-        done.sort(key=lambda r: (r.qubits, r.cloud, r.target, r.submitted_at, r.job_id))
-        rows = [[r.qubits, r.cloud, r.target, repr(r.fidelity), r.job_id] for r in done]
-    elif kind == "fidelity_vs_time":
-        header = ["submitted_at", "cloud", "target", "qubits", "fidelity", "job_id"]
-        done = [r for r in records if r.status is JobStatus.PROCESSED]
-        done.sort(key=lambda r: (r.submitted_at, r.job_id))
-        rows = [
-            [r.submitted_at, r.cloud, r.target, r.qubits, repr(r.fidelity), r.job_id]
-            for r in done
-        ]
-    elif kind == "cost_vs_fidelity":
-        header = ["qubits", "cloud", "target", "jobs", "cost", "fidelity"]
-        rows = [
-            [a.qubits, a.cloud, a.target, a.jobs, _usd(a.mean_cost), f"{a.mean_fidelity:.6f}"]
-            for a in aggregate(records)
-        ]
-    elif kind == "availability":
-        header = [
-            "target",
-            "cloud",
-            "attempts",
-            "processed",
-            "submitted",
-            "error",
-            "canceled",
-            "unavailable",
-            "accepting_fraction",
-        ]
-        by_target: dict[tuple[str, str], list[JobRecord]] = {}
-        for r in records:
-            by_target.setdefault((r.target, r.cloud), []).append(r)
-        for (target, cloud), members in sorted(by_target.items()):
-            n = len(members)
-            by_status = {
-                s: sum(1 for r in members if r.status is s) for s in JobStatus
-            }
-            accepting = (n - by_status[JobStatus.UNAVAILABLE]) / n
-            rows.append(
-                [
-                    target,
-                    cloud,
-                    n,
-                    by_status[JobStatus.PROCESSED],
-                    by_status[JobStatus.SUBMITTED],
-                    by_status[JobStatus.ERROR],
-                    by_status[JobStatus.CANCELED],
-                    by_status[JobStatus.UNAVAILABLE],
-                    f"{accepting:.4f}",
-                ]
-            )
-    elif kind == "queue_prediction":
-        header = ["job_id", "predicted_wait", "actual_wait", "overestimated"]
-        qp = queue_prediction(records)
-        rows = [
-            [job_id, repr(p), repr(a), str(p > a).lower()] for job_id, p, a in qp.pairs
-        ]
-    else:  # table6
-        header = [
-            "index",
-            "qubits",
-            "cloud",
-            "target",
-            "fidelity",
-            "fid_std",
-            "jobs",
-            "cost",
-            "cost_std",
-        ]
-        for i, a in enumerate(aggregate(records)):
-            rows.append(
-                [
-                    i,
-                    a.qubits,
-                    a.cloud,
-                    a.target,
-                    f"{a.mean_fidelity:.6f}",
-                    f"{a.fidelity_std:.6f}",
-                    a.jobs,
-                    _usd(a.mean_cost),
-                    _usd(a.cost_std),
-                ]
-            )
+    header, rows = _REPORTS[kind](records)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -274,15 +274,14 @@ def _parse_float(text: str) -> float:
     return value
 
 
-# filter text to the flat value the store compares, by declared field type;
-# money is written in USD and compared in micro-USD
+# filter text to a value of the declared field type; money is written in USD
 _PARSE_BY_TYPE = {
     str: str,
     int: int,
     float: _parse_float,
     bool: _parse_bool,
-    JobStatus: lambda text: JobStatus(text).value,
-    Money: lambda text: Money.from_usd(text).micros,
+    JobStatus: JobStatus,
+    Money: Money.from_usd,
 }
 
 

@@ -30,7 +30,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 
 import numpy as np
@@ -241,7 +241,6 @@ class JobHandle:
     seed: int
     submitted_at: int
     status: JobStatus
-    source: Circuit | None = None
     lowered: TranspileResult | None = None
     error_message: str | None = None
     predicted_wait: float | None = None
@@ -308,7 +307,6 @@ class SimProvider:
             seed=seed,
             submitted_at=clock,
             status=JobStatus.SUBMITTED,
-            source=circuit,
         )
         status = t.schedule.status_at(clock)
         if status.state is TargetState.UNAVAILABLE:
@@ -476,166 +474,71 @@ _AZURE_QUEUE = QueueModel(mu=math.log(600.0), sigma=1.2, predictor_bias=0.65)
 _SLOW_QUEUE = QueueModel(mu=math.log(3600.0), sigma=1.3, predictor_bias=0.65)
 _EMULATOR_QUEUE = QueueModel(mu=math.log(10.0), sigma=0.5)
 
+# machine: qubits, two-qubit gate fidelity
+_DEVICES = {
+    "aria": (25, 0.9995),
+    "forte": (36, 0.9993),
+    "garnet": (20, 0.97),
+    "h1": (20, 0.9998),
+    "h2": (56, 0.9999),
+}
+
+# the cloud path fixes the lowering pipeline and which queue figure it publishes
+_CLOUDS = {
+    "SimAWS": {"gate_profile": REDUNDANT, "exposes_queue_position": True},
+    "SimAzure": {"gate_profile": EFFICIENT, "exposes_avg_queue_time": True},
+}
+
+_ALWAYS = AlwaysSchedule()
+_NEVER = AlwaysSchedule(UNAVAILABLE)
+# aria1 is down 6 h of every 36 h on the AWS path and 12 h on the Azure path
+_ARIA1_AWS_HOURS = RecurringOutageSchedule(36 * 3600, outage_start=30 * 3600, outage_len=6 * 3600)
+_ARIA1_AZURE_HOURS = RecurringOutageSchedule(36 * 3600, outage_start=24 * 3600, outage_len=12 * 3600)
+# h1's nightly operations window, 17:00 to 02:00; submissions outside it are
+# accepted and held
+_H1_NIGHTS = DailyWindowSchedule(start=17 * 3600, end=2 * 3600)
+
+# billing makers, called when a preset resolves, so the price table loads lazily
+_ARIA_SHOTS = partial(_per_shot, "aria")
+_HQC_HARDWARE = partial(_credit_rate, "hardware")
+_HQC_EMULATOR = partial(_credit_rate, "emulator")
+
+# preset: machine, cloud, billing maker, queue, schedule, gate-limit widths
+# (the accept/reject widths ``default_gate_limit`` splits; None: no limit)
+_PRESETS = {
+    "aria1-aws": ("aria", "SimAWS", _ARIA_SHOTS, _AWS_QUEUE, _ARIA1_AWS_HOURS, (16, 18)),
+    "aria1-azure": ("aria", "SimAzure", _ionq_gate_rate, _AZURE_QUEUE, _ARIA1_AZURE_HOURS, None),
+    "aria2-aws": ("aria", "SimAWS", _ARIA_SHOTS, _AWS_QUEUE, _NEVER, (16, 18)),
+    "aria2-azure": ("aria", "SimAzure", _ionq_gate_rate, _AZURE_QUEUE, _NEVER, None),
+    "forte1-aws": ("forte", "SimAWS", partial(_per_shot, "forte"), _AWS_QUEUE, _ALWAYS, (20, 22)),
+    "garnet-aws": ("garnet", "SimAWS", partial(_per_shot, "garnet"), _AWS_QUEUE, _ALWAYS, None),
+    "h1-azure": ("h1", "SimAzure", _HQC_HARDWARE, _SLOW_QUEUE, _H1_NIGHTS, None),
+    "h2-azure": ("h2", "SimAzure", _HQC_HARDWARE, _SLOW_QUEUE, _ALWAYS, None),
+    "aria1-emulator": ("aria", "SimAzure", lambda: _FREE, _EMULATOR_QUEUE, _ALWAYS, None),
+    "forte1-emulator": ("forte", "SimAzure", lambda: _FREE, _EMULATOR_QUEUE, _ALWAYS, None),
+    "h1-emulator": ("h1", "SimAzure", _HQC_EMULATOR, _EMULATOR_QUEUE, _ALWAYS, None),
+    "h2-emulator": ("h2", "SimAzure", _HQC_EMULATOR, _EMULATOR_QUEUE, _ALWAYS, None),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
 
 @cache
 def target_profile(name: str) -> TargetProfile:
     """Resolve a shipped preset by name; raises KeyError for unknown names."""
-    makers = {
-        "aria1-aws": lambda: TargetProfile(
-            name="aria1-aws",
-            cloud="SimAWS",
-            qubits=25,
-            gate_profile=REDUNDANT,
-            billing=_per_shot("aria"),
-            noise=GlobalDepolarizing(0.9995),
-            queue=_AWS_QUEUE,
-            schedule=RecurringOutageSchedule(period=36 * 3600, outage_start=30 * 3600, outage_len=6 * 3600),
-            gate_limit=default_gate_limit(),
-            exposes_queue_position=True,
-        ),
-        "aria1-azure": lambda: TargetProfile(
-            name="aria1-azure",
-            cloud="SimAzure",
-            qubits=25,
-            gate_profile=EFFICIENT,
-            billing=_ionq_gate_rate(),
-            noise=GlobalDepolarizing(0.9995),
-            queue=_AZURE_QUEUE,
-            schedule=RecurringOutageSchedule(period=36 * 3600, outage_start=24 * 3600, outage_len=12 * 3600),
-            exposes_avg_queue_time=True,
-        ),
-        "aria2-aws": lambda: TargetProfile(
-            name="aria2-aws",
-            cloud="SimAWS",
-            qubits=25,
-            gate_profile=REDUNDANT,
-            billing=_per_shot("aria"),
-            noise=GlobalDepolarizing(0.9995),
-            queue=_AWS_QUEUE,
-            schedule=AlwaysSchedule(UNAVAILABLE),
-            gate_limit=default_gate_limit(),
-            exposes_queue_position=True,
-        ),
-        "aria2-azure": lambda: TargetProfile(
-            name="aria2-azure",
-            cloud="SimAzure",
-            qubits=25,
-            gate_profile=EFFICIENT,
-            billing=_ionq_gate_rate(),
-            noise=GlobalDepolarizing(0.9995),
-            queue=_AZURE_QUEUE,
-            schedule=AlwaysSchedule(UNAVAILABLE),
-            exposes_avg_queue_time=True,
-        ),
-        "forte1-aws": lambda: TargetProfile(
-            name="forte1-aws",
-            cloud="SimAWS",
-            qubits=36,
-            gate_profile=REDUNDANT,
-            billing=_per_shot("forte"),
-            noise=GlobalDepolarizing(0.9993),
-            queue=_AWS_QUEUE,
-            schedule=AlwaysSchedule(),
-            gate_limit=default_gate_limit(20, 22),
-            exposes_queue_position=True,
-        ),
-        "garnet-aws": lambda: TargetProfile(
-            name="garnet-aws",
-            cloud="SimAWS",
-            qubits=20,
-            gate_profile=REDUNDANT,
-            billing=_per_shot("garnet"),
-            noise=GlobalDepolarizing(0.97),
-            queue=_AWS_QUEUE,
-            schedule=AlwaysSchedule(),
-            exposes_queue_position=True,
-        ),
-        "h1-azure": lambda: TargetProfile(
-            name="h1-azure",
-            cloud="SimAzure",
-            qubits=20,
-            gate_profile=EFFICIENT,
-            billing=_credit_rate("hardware"),
-            noise=GlobalDepolarizing(0.9998),
-            queue=_SLOW_QUEUE,
-            # nightly operations window, 17:00 to 02:00; submissions outside
-            # are accepted and held
-            schedule=DailyWindowSchedule(start=17 * 3600, end=2 * 3600),
-            exposes_avg_queue_time=True,
-        ),
-        "h2-azure": lambda: TargetProfile(
-            name="h2-azure",
-            cloud="SimAzure",
-            qubits=56,
-            gate_profile=EFFICIENT,
-            billing=_credit_rate("hardware"),
-            noise=GlobalDepolarizing(0.9999),
-            queue=_SLOW_QUEUE,
-            schedule=AlwaysSchedule(),
-            exposes_avg_queue_time=True,
-        ),
-        "aria1-emulator": lambda: TargetProfile(
-            name="aria1-emulator",
-            cloud="SimAzure",
-            qubits=25,
-            gate_profile=EFFICIENT,
-            billing=_FREE,
-            noise=GlobalDepolarizing(0.9995),
-            queue=_EMULATOR_QUEUE,
-            schedule=AlwaysSchedule(),
-            exposes_avg_queue_time=True,
-        ),
-        "forte1-emulator": lambda: TargetProfile(
-            name="forte1-emulator",
-            cloud="SimAzure",
-            qubits=36,
-            gate_profile=EFFICIENT,
-            billing=_FREE,
-            noise=GlobalDepolarizing(0.9993),
-            queue=_EMULATOR_QUEUE,
-            schedule=AlwaysSchedule(),
-            exposes_avg_queue_time=True,
-        ),
-        "h1-emulator": lambda: TargetProfile(
-            name="h1-emulator",
-            cloud="SimAzure",
-            qubits=20,
-            gate_profile=EFFICIENT,
-            billing=_credit_rate("emulator"),
-            noise=GlobalDepolarizing(0.9998),
-            queue=_EMULATOR_QUEUE,
-            schedule=AlwaysSchedule(),
-            exposes_avg_queue_time=True,
-        ),
-        "h2-emulator": lambda: TargetProfile(
-            name="h2-emulator",
-            cloud="SimAzure",
-            qubits=56,
-            gate_profile=EFFICIENT,
-            billing=_credit_rate("emulator"),
-            noise=GlobalDepolarizing(0.9999),
-            queue=_EMULATOR_QUEUE,
-            schedule=AlwaysSchedule(),
-            exposes_avg_queue_time=True,
-        ),
-    }
     try:
-        return makers[name]()
+        device, cloud, billing, queue, schedule, limit_widths = _PRESETS[name]
     except KeyError:
-        raise KeyError(f"unknown target preset {name!r}; known: {sorted(makers)}") from None
-
-
-PRESET_NAMES = (
-    "aria1-aws",
-    "aria1-azure",
-    "aria2-aws",
-    "aria2-azure",
-    "forte1-aws",
-    "garnet-aws",
-    "h1-azure",
-    "h2-azure",
-    "aria1-emulator",
-    "forte1-emulator",
-    "h1-emulator",
-    "h2-emulator",
-)
+        raise KeyError(f"unknown target preset {name!r}; known: {sorted(_PRESETS)}") from None
+    qubits, f_2qg = _DEVICES[device]
+    return TargetProfile(
+        name=name,
+        cloud=cloud,
+        qubits=qubits,
+        billing=billing(),
+        noise=GlobalDepolarizing(f_2qg),
+        queue=queue,
+        schedule=schedule,
+        gate_limit=None if limit_widths is None else default_gate_limit(*limit_widths),
+        **_CLOUDS[cloud],
+    )

@@ -74,37 +74,23 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {k}")
 
 
-def _apply_1q(state: np.ndarray, width: int, mat: np.ndarray, target: int) -> np.ndarray:
-    ax = width - 1 - target
-    t = state.reshape([2] * width)
-    t = np.tensordot(mat, t, axes=([1], [ax]))
-    return np.moveaxis(t, 0, ax).reshape(-1)
-
-
-def _apply_2q(
-    state: np.ndarray, width: int, mat: np.ndarray, a: int, b: int
-) -> np.ndarray:
-    axa, axb = width - 1 - a, width - 1 - b
-    t = state.reshape([2] * width)
-    t = np.tensordot(mat.reshape(2, 2, 2, 2), t, axes=([2, 3], [axa, axb]))
-    return np.moveaxis(t, [0, 1], [axa, axb]).reshape(-1)
-
-
-def _apply_gate(state: np.ndarray, width: int, gate: Gate) -> np.ndarray:
-    mat = gate_matrix(gate)
-    if gate.arity == 1:
-        return _apply_1q(state, width, mat, gate.targets[0])
-    return _apply_2q(state, width, mat, gate.targets[0], gate.targets[1])
+def _apply(t: np.ndarray, width: int, mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Apply a 1- or 2-qubit matrix to a ``[2]*width`` tensor with any trailing batch axes."""
+    k = len(targets)
+    axes = [width - 1 - q for q in targets]
+    t = np.tensordot(mat.reshape([2] * 2 * k), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(t, list(range(k)), axes)
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
     """Apply all gates to |0...0>; returns the 2**width amplitude vector."""
     if circuit.width > MAX_WIDTH:
         raise ValueError(f"width {circuit.width} exceeds simulator cap {MAX_WIDTH}")
-    state = np.zeros(1 << circuit.width, dtype=complex)
-    state[0] = 1.0
+    state = np.zeros([2] * circuit.width, dtype=complex)
+    state.flat[0] = 1.0
     for g in circuit.gates:
-        state = _apply_gate(state, circuit.width, g)
+        state = _apply(state, circuit.width, gate_matrix(g), g.targets)
+    state = state.reshape(-1)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > _NORM_TOL:
         raise ArithmeticError(f"statevector norm drifted to {norm!r}")
@@ -116,21 +102,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     if circuit.width > 10:
         raise ValueError("unitary construction capped at 10 qubits")
     dim = 1 << circuit.width
-    u = np.eye(dim, dtype=complex)
+    # basis columns ride along as a trailing batch axis
+    u = np.eye(dim, dtype=complex).reshape([2] * circuit.width + [dim])
     for g in circuit.gates:
-        mat = gate_matrix(g)
-        cols = u.reshape([2] * circuit.width + [dim])
-        if g.arity == 1:
-            ax = circuit.width - 1 - g.targets[0]
-            cols = np.tensordot(mat, cols, axes=([1], [ax]))
-            cols = np.moveaxis(cols, 0, ax)
-        else:
-            axa = circuit.width - 1 - g.targets[0]
-            axb = circuit.width - 1 - g.targets[1]
-            cols = np.tensordot(mat.reshape(2, 2, 2, 2), cols, axes=([2, 3], [axa, axb]))
-            cols = np.moveaxis(cols, [0, 1], [axa, axb])
-        u = cols.reshape(dim, dim)
-    return u
+        u = _apply(u, circuit.width, gate_matrix(g), g.targets)
+    return u.reshape(dim, dim)
 
 
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
@@ -255,15 +231,15 @@ def _run_trajectories(
     width = circuit.width
     counts: dict[str, int] = {}
     for _ in range(shots):
-        state = np.zeros(1 << width, dtype=complex)
-        state[0] = 1.0
+        state = np.zeros([2] * width, dtype=complex)
+        state.flat[0] = 1.0
         for g in circuit.gates:
-            state = _apply_gate(state, width, g)
+            state = _apply(state, width, gate_matrix(g), g.targets)
             if g.arity == 2 and p > 0.0 and rng.random() < p:
                 pa, pb = _PAULI_2Q_PAIRS[rng.integers(0, len(_PAULI_2Q_PAIRS))]
-                state = _apply_1q(state, width, _PAULI_1Q[pa], g.targets[0])
-                state = _apply_1q(state, width, _PAULI_1Q[pb], g.targets[1])
-        probs = np.abs(state) ** 2
+                state = _apply(state, width, _PAULI_1Q[pa], g.targets[:1])
+                state = _apply(state, width, _PAULI_1Q[pb], g.targets[1:])
+        probs = np.abs(state.reshape(-1)) ** 2
         probs = probs / probs.sum()
         v = int(rng.choice(len(probs), p=probs))
         key = format(v, f"0{width}b")

@@ -10,9 +10,10 @@ nothing to be gained from persisting it.
 
 Money is stored as integer micro-USD under ``cost``.  Timestamps are integer
 seconds from the campaign epoch.  Query supports equality on any field and
-range operators via ``field__ge / __gt / __le / __lt`` suffixes; results are
-ordered by (submitted_at, job_id) so equal filters always produce identical
-bytes on export.
+range operators via ``field__ge / __gt / __le / __lt`` suffixes; a filter
+value may be given as the field's type (``Money``, ``JobStatus``) or in its
+stored form (micro-USD, status text).  Results are ordered by (submitted_at,
+job_id) so equal filters always produce identical bytes on export.
 """
 
 from __future__ import annotations
@@ -137,9 +138,8 @@ class JobRecord:
 
 _FIELD_NAMES = frozenset(f.name for f in fields(JobRecord))
 
-# flat value per field as it appears in query filters and CSV cells
-def _flat(record: JobRecord, name: str) -> Any:
-    value = getattr(record, name)
+# a field value as query filters compare it and CSV cells show it
+def _flat(value: Any) -> Any:
     if isinstance(value, JobStatus):
         return value.value
     if isinstance(value, Money):
@@ -161,14 +161,15 @@ def _predicate(key: str, want: Any):
     name, _, op = key.partition("__")
     if name not in _FIELD_NAMES:
         raise StoreError(f"unknown query field {name!r}")
+    want = _flat(want)  # a Money or JobStatus filter compares like the stored field
     if not op:
-        return lambda r: _flat(r, name) == want
+        return lambda r: _flat(getattr(r, name)) == want
     if op not in _RANGE_OPS:
         raise StoreError(f"unknown query operator {op!r}")
     cmp = _RANGE_OPS[op]
 
     def test(r: JobRecord) -> bool:
-        value = _flat(r, name)
+        value = _flat(getattr(r, name))
         return value is not None and cmp(value, want)
 
     return test
@@ -262,7 +263,7 @@ class JobStore:
             for r in rows:
                 out = []
                 for c in cols:
-                    v = _flat(r, c)
+                    v = _flat(getattr(r, c))
                     if isinstance(v, dict):
                         v = json.dumps(v, sort_keys=True, separators=(",", ":"))
                     elif v is None:

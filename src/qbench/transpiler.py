@@ -33,7 +33,6 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from typing import Callable
 
@@ -43,42 +42,29 @@ from .circuit import Circuit, Gate, GateCensus, GateKind, build_benchmark, censu
 from .simulator import gate_matrix, run_statevector
 
 
-class CpStrategy(Enum):
-    DIRECT_ENTANGLER = "direct_entangler"
-    TWO_CX = "two_cx"
-
-
 @dataclass(frozen=True)
 class GateSetProfile:
+    """A native gate set; ``native_2q`` (ZZ or CX) picks the lowering rules."""
+
     name: str
     native_1q: frozenset[GateKind]
     native_2q: GateKind
-    cp_strategy: CpStrategy
 
     def __post_init__(self) -> None:
         if self.native_2q not in (GateKind.ZZ, GateKind.CX):
             raise ValueError("native_2q must be zz or cx")
-        expect = (
-            GateKind.ZZ
-            if self.cp_strategy is CpStrategy.DIRECT_ENTANGLER
-            else GateKind.CX
-        )
-        if self.native_2q is not expect:
-            raise ValueError(f"{self.cp_strategy} requires native_2q {expect.value}")
 
 
 EFFICIENT = GateSetProfile(
     name="efficient",
     native_1q=frozenset({GateKind.H, GateKind.RX, GateKind.RY, GateKind.RZ}),
     native_2q=GateKind.ZZ,
-    cp_strategy=CpStrategy.DIRECT_ENTANGLER,
 )
 
 REDUNDANT = GateSetProfile(
     name="redundant",
     native_1q=frozenset({GateKind.RX, GateKind.RY, GateKind.RZ}),
     native_2q=GateKind.CX,
-    cp_strategy=CpStrategy.TWO_CX,
 )
 
 PROFILES = {p.name: p for p in (EFFICIENT, REDUNDANT)}
@@ -247,7 +233,7 @@ class LoweringMemo:
         Every emitted gate must be native and act only on ``g``'s targets,
         so a lowered circuit needs no range check of its own.
         """
-        if self.profile.cp_strategy is CpStrategy.DIRECT_ENTANGLER:
+        if self.profile.native_2q is GateKind.ZZ:
             expansion, phase = _lower_efficient(g)
         else:
             expansion, phase = _lower_redundant(g, self._euler)

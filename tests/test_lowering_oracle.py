@@ -32,7 +32,7 @@ from qbench.transpiler import (
     EFFICIENT,
     PROFILES,
     REDUNDANT,
-    CpStrategy,
+    GateSetProfile,
     LoweringMemo,
     TranspileResult,
     lowering_memo,
@@ -66,7 +66,7 @@ def oracle_census(circuit):
 def oracle_transpile(circuit, profile):
     lower = (
         transpiler._lower_efficient
-        if profile.cp_strategy is CpStrategy.DIRECT_ENTANGLER
+        if profile.native_2q is GateKind.ZZ
         else transpiler._lower_redundant
     )
     gates = []
@@ -201,3 +201,10 @@ def test_memo_refuses_a_non_native_expansion(profile, monkeypatch):
     monkeypatch.setattr(transpiler, rule, lambda g, *args: ([Gate(GateKind.P, g.targets, 0.5)], 0.0))
     with pytest.raises(AssertionError, match="non-native"):
         LoweringMemo(profile).lower(Gate(GateKind.RZ, (0,), 0.5))
+
+
+@pytest.mark.parametrize("kind", [GateKind.CP, GateKind.SWAP, GateKind.RZ])
+def test_profile_refuses_a_native_2q_without_lowering_rules(kind):
+    # the lowering rules are chosen by native_2q alone, so only ZZ and CX pass
+    with pytest.raises(ValueError, match="native_2q must be zz or cx"):
+        GateSetProfile("other", frozenset({GateKind.RZ}), kind)

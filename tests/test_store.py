@@ -242,6 +242,38 @@ def test_query_rejects_unknown_fields_and_ops(tmp_path):
         store.query(qubits__between=3)
 
 
+def _money_store(tmp_path):
+    store = JobStore(tmp_path / "log.jsonl")
+    store.append(make_record(0))
+    store.append(processed_record(1, cost=Money.from_usd("1.03")))
+    store.append(processed_record(2, cost=Money.from_usd("15.30")))
+    return store
+
+
+def test_query_equality_accepts_money(tmp_path):
+    store = _money_store(tmp_path)
+    assert [r.job_id for r in store.query(cost=Money.from_usd("1.03"))] == ["job-0001"]
+    # the stored micro-USD form still works
+    assert [r.job_id for r in store.query(cost=1_030_000)] == ["job-0001"]
+
+
+def test_query_range_accepts_money(tmp_path):
+    store = _money_store(tmp_path)
+    assert [r.job_id for r in store.query(cost__gt=Money(5))] == ["job-0001", "job-0002"]
+    assert [r.job_id for r in store.query(cost__ge=Money.from_usd("2"))] == ["job-0002"]
+    assert [r.job_id for r in store.query(cost__lt=Money.from_usd("1.03"))] == ["job-0000"]
+
+
+def test_query_accepts_job_status_values(tmp_path):
+    store = JobStore(tmp_path / "log.jsonl")
+    store.append(make_record(0))
+    store.append(processed_record(1))
+    store.append(make_record(2, status=JobStatus.ERROR, error_message="too wide"))
+    assert [r.job_id for r in store.query(status=JobStatus.ERROR)] == ["job-0002"]
+    assert store.query(status=JobStatus.PROCESSED) == store.query(status="processed")
+    assert store.query(status=JobStatus.CANCELED) == []
+
+
 def test_export_csv_round_trip(tmp_path):
     store = JobStore(tmp_path / "log.jsonl")
     tricky = processed_record(0, error_message='queue said "later", twice')
