@@ -109,7 +109,6 @@ class Circuit:
     width: int
     gates: tuple[Gate, ...]
     metadata: dict[str, Any] = field(default_factory=dict)
-    _census: GateCensus | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -121,29 +120,8 @@ class Circuit:
             bad = next(g for g in gates if max(g.targets) >= self.width)
             raise ValueError(f"gate {bad} out of range for width {self.width}")
 
-    @classmethod
-    def _lowered(
-        cls, width: int, gates: tuple[Gate, ...], metadata: dict[str, Any], gate_census: GateCensus
-    ) -> "Circuit":
-        """The output of ``transpile``, built without the per-gate range walk.
-
-        Only ``transpile`` calls this.  Its source circuit was range-checked,
-        and every gate it emits comes from a ``LoweringMemo`` expansion that
-        was checked to act only on its source gate's targets, so every gate
-        is already in range.  ``gate_census`` is the census of ``gates``,
-        summed from the same expansions, and ``census`` returns it as is.
-        """
-        circuit = object.__new__(cls)
-        object.__setattr__(circuit, "width", width)
-        object.__setattr__(circuit, "gates", gates)
-        object.__setattr__(circuit, "metadata", metadata)
-        object.__setattr__(circuit, "_census", gate_census)
-        return circuit
-
 
 def census(circuit: Circuit) -> GateCensus:
-    if circuit._census is not None:
-        return circuit._census
     gates = circuit.gates
     # Gate admits one or two targets, so each gate past one target is two-qubit
     n_2q = sum(map(len, map(_targets, gates))) - len(gates)
@@ -184,6 +162,11 @@ def _x_gate(i: int) -> Gate:
     return Gate(GateKind.X, (i,))
 
 
+def _x_prefix(q: int, n: int) -> tuple[Gate, ...]:
+    """Segment (a): the X gates that prepare |n>, lowest qubit first."""
+    return tuple(_x_gate(i) for i in range(q) if (n >> i) & 1)
+
+
 @cache
 def _benchmark_body(q: int) -> tuple[Gate, ...]:
     """Segments (b) to (d): they depend on q alone, so each width is built once.
@@ -205,11 +188,31 @@ def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
         raise ValueError("q must be >= 1")
     if not 0 <= n < (1 << q):
         raise ValueError(f"n={n} out of range for {q} qubits")
-    prefix = tuple(_x_gate(i) for i in range(q) if (n >> i) & 1)
+    prefix = _x_prefix(q, n)
     meta: dict[str, Any] = {"benchmark": "fourier_adder", "q": q, "n": n}
     if seed is not None:
         meta["seed"] = seed
     return Circuit(width=q, gates=prefix + _benchmark_body(q), metadata=meta)
+
+
+def benchmark_input(circuit: Circuit) -> int | None:
+    """n if the circuit's gates are exactly ``build_benchmark(width, n)``'s, else None.
+
+    Only the gates are read, never the metadata, so a circuit that was edited
+    or truncated is not taken for the benchmark its metadata names.  Gates
+    shared with the cached body compare by identity, so a built benchmark is
+    recognised without comparing angles.
+    """
+    q, gates = circuit.width, circuit.gates
+    if len(gates) < q * q:  # shorter than any body of this width; none is built
+        return None
+    body = _benchmark_body(q)
+    cut = len(gates) - len(body)
+    if cut < 0 or gates[cut:] != body:
+        return None
+    prefix = gates[:cut]
+    n = sum(1 << g.targets[0] for g in prefix)
+    return n if prefix == _x_prefix(q, n) else None
 
 
 def random_input(q: int, seed: int) -> int:

@@ -7,14 +7,16 @@ Cents only appear at rounding points: rendering, and the two models whose
 published bills are cent-quantized (credit-based and per-shot billing).
 Half-up rounding (away from zero) is used throughout.
 
-Three models:
+Three models, all billed through one call,
+``job_cost(census, shots, width, *, error_mitigated=False)``; each reads
+only the inputs its formula names:
 
 * gate-rate billing: shots * (n_1q * rate_1q + n_2q * rate_2q), floored by a
   per-job minimum (a higher minimum applies when error mitigation is on);
 * credit billing: credits = 5 + shots * (n_1q + n_2q + 5 * width) / 5000 as
   an exact rational, then credits * usd_per_credit, cent-rounded.  The
   5 * width term charges state preparation and measurement per qubit;
-* per-shot billing: tasks * per_task + shots * per_shot, cent-rounded.
+* per-shot billing: per_task + shots * per_shot, cent-rounded.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ class GateRateBilling:
     minimum: Money
     minimum_mitigated: Money
 
-    def job_cost(self, counts: GateCensus, shots: int, *, error_mitigated: bool = False) -> Money:
+    def job_cost(
+        self, counts: GateCensus, shots: int, width: int, *, error_mitigated: bool = False
+    ) -> Money:
         raw = (counts.n_1q * self.usd_1q + counts.n_2q * self.usd_2q) * shots
         floor = self.minimum_mitigated if error_mitigated else self.minimum
         return max(raw, floor)
@@ -124,7 +128,9 @@ class CreditBilling:
 
     usd_per_credit: Money
 
-    def job_cost(self, counts: GateCensus, shots: int, width: int) -> Money:
+    def job_cost(
+        self, counts: GateCensus, shots: int, width: int, *, error_mitigated: bool = False
+    ) -> Money:
         return self.usd_per_credit.scale(credit_charge(counts, shots, width))
 
     def cost_of_credits(self, credits: Fraction) -> Money:
@@ -138,8 +144,10 @@ class PerShotBilling:
     per_task: Money
     per_shot: Money
 
-    def job_cost(self, shots: int, *, tasks: int = 1) -> Money:
-        raw = tasks * self.per_task + shots * self.per_shot
+    def job_cost(
+        self, counts: GateCensus, shots: int, width: int, *, error_mitigated: bool = False
+    ) -> Money:
+        raw = self.per_task + shots * self.per_shot
         return Money(raw.cents_half_up() * _MICROS_PER_CENT)
 
 

@@ -44,7 +44,7 @@ from .costing import (
     PerShotBilling,
 )
 from .rng import derive_seed
-from .simulator import GlobalDepolarizing, NoiseSpec, run_noisy
+from .simulator import GlobalDepolarizing, NoiseSpec, run_noisy, sample_depolarized
 from .transpiler import (
     EFFICIENT,
     REDUNDANT,
@@ -52,7 +52,7 @@ from .transpiler import (
     TranspileResult,
     check_gate_limit,
     default_gate_limit,
-    lowering_memo,
+    lowered_census,
     transpile,
 )
 
@@ -233,7 +233,12 @@ class TargetProfile:
 
 @dataclass
 class JobHandle:
-    """Mutable lifecycle record held by the provider; not persisted directly."""
+    """Mutable lifecycle record held by the provider; not persisted directly.
+
+    ``census`` is the lowered census, set once the width is accepted.
+    ``circuit`` is the source circuit, kept once the gate limit accepts it.
+    ``lowered`` is set only when the target runs the lowered gates.
+    """
 
     job_id: str
     target: TargetProfile
@@ -241,6 +246,8 @@ class JobHandle:
     seed: int
     submitted_at: int
     status: JobStatus
+    census: GateCensus | None = None
+    circuit: Circuit | None = None
     lowered: TranspileResult | None = None
     error_message: str | None = None
     predicted_wait: float | None = None
@@ -249,10 +256,6 @@ class JobHandle:
     exec_end: int | None = None
     canceled_at: int | None = None
     _counts: dict[str, int] | None = field(default=None, repr=False)
-
-    @property
-    def census(self) -> GateCensus | None:
-        return None if self.lowered is None else self.lowered.census
 
 
 @dataclass(frozen=True)
@@ -268,9 +271,6 @@ class SimProvider:
 
     def __init__(self, target: TargetProfile):
         self.target = target
-        # held, not used: while any provider holds it, ``transpile`` reuses
-        # its lowerings, so a campaign lowers each distinct gate once
-        self._memo = lowering_memo(target.gate_profile)
         self._lock = threading.Lock()
         self._handles: dict[str, JobHandle] = {}
         self._counter = 0
@@ -283,7 +283,7 @@ class SimProvider:
     def submit(
         self, circuit: Circuit, shots: int, clock: int, *, seed: int, job_id: str | None = None
     ) -> JobHandle:
-        """Validate, lower, and enqueue; returns a handle (possibly already terminal)."""
+        """Validate, count the lowering, and enqueue; returns a handle, possibly terminal."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
         with self._lock:
@@ -322,14 +322,14 @@ class SimProvider:
                 f"circuit width {circuit.width} exceeds target capacity {effective_width}"
             )
             return handle
-        lowered = transpile(circuit, t.gate_profile)
-        handle.lowered = lowered
-        if not check_gate_limit(lowered.census.total, t.gate_limit):
+        handle.census = lowered_census(circuit, t.gate_profile)
+        if not check_gate_limit(handle.census.total, t.gate_limit):
             handle.status = JobStatus.ERROR
             handle.error_message = (
-                f"lowered gate count {lowered.census.total} exceeds limit {t.gate_limit}"
+                f"lowered gate count {handle.census.total} exceeds limit {t.gate_limit}"
             )
             return handle
+        handle.circuit = circuit
         rng = np.random.default_rng(derive_seed(seed, "queue"))
         wait = t.queue.draw_wait(rng)
         handle.actual_wait = wait
@@ -361,12 +361,7 @@ class SimProvider:
             status = self._status_at(handle, clock)
             if status is JobStatus.PROCESSED and handle._counts is None:
                 try:
-                    handle._counts = run_noisy(
-                        handle.lowered.circuit,
-                        self.target.noise,
-                        handle.shots,
-                        derive_seed(handle.seed, "shots"),
-                    )
+                    handle._counts = self._execute(handle)
                 except ValueError as exc:
                     handle.status = JobStatus.ERROR
                     handle.error_message = f"execution failed: {exc}"
@@ -381,6 +376,14 @@ class SimProvider:
                 error_message=handle.error_message,
                 queue_position=position,
             )
+
+    def _execute(self, handle: JobHandle) -> dict[str, int]:
+        noise, seed = self.target.noise, derive_seed(handle.seed, "shots")
+        if isinstance(noise, GlobalDepolarizing):
+            return sample_depolarized(handle.circuit, handle.census.n_2q, noise, handle.shots, seed)
+        # a trajectory injects its errors gate by gate, so it runs the lowering
+        handle.lowered = transpile(handle.circuit, self.target.gate_profile)
+        return run_noisy(handle.lowered.circuit, noise, handle.shots, seed)
 
     def _status_at(self, handle: JobHandle, clock: int) -> JobStatus:
         if handle.status in (JobStatus.UNAVAILABLE, JobStatus.ERROR):
@@ -421,17 +424,12 @@ class SimProvider:
         """Cost of a job in its current status; non-processed jobs cost nothing."""
         if handle.status is not JobStatus.PROCESSED:
             return Money.zero()
-        counts = handle.census
-        billing = self.target.billing
-        if isinstance(billing, GateRateBilling):
-            return billing.job_cost(
-                counts, handle.shots, error_mitigated=self.target.error_mitigated
-            )
-        if isinstance(billing, CreditBilling):
-            return billing.job_cost(counts, handle.shots, handle.lowered.circuit.width)
-        if isinstance(billing, PerShotBilling):
-            return billing.job_cost(handle.shots)
-        raise TypeError(f"unknown billing model {billing!r}")
+        return self.target.billing.job_cost(
+            handle.census,
+            handle.shots,
+            handle.circuit.width,
+            error_mitigated=self.target.error_mitigated,
+        )
 
 
 # --- shipped target presets -------------------------------------------------------

@@ -11,7 +11,8 @@ anything wider is out of desk-scale scope). Noise is modeled at two levels:
   drawn from the ideal output distribution with probability f_2qg ** n_2q and
   from the uniform distribution otherwise.  For benchmark circuits the ideal
   distribution is the analytic single-outcome delta, so this channel runs at
-  any width the target machine supports.
+  any width the target machine supports.  It reads no gate past that, so a
+  provider pairs the source benchmark with its lowering's two-qubit count.
 * ``PauliTrajectory(p)`` is a per-shot trajectory: after every two-qubit gate
   a uniformly random non-identity two-qubit Pauli is applied with
   probability p, and one measurement is drawn from the final state.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, census, ideal_output
+from .circuit import Circuit, Gate, GateKind, benchmark_input, census, ideal_output
 
 MAX_WIDTH = 24
 _NORM_TOL = 1e-9
@@ -157,17 +158,14 @@ NoiseSpec = GlobalDepolarizing | PauliTrajectory
 def ideal_distribution(circuit: Circuit) -> dict[str, float]:
     """Exact output distribution; analytic delta for benchmark circuits.
 
-    Benchmark circuits carry (q, n) in metadata and concentrate on a single
-    outcome, so no statevector is needed and any width is supported.  Other
-    circuits fall back to simulation (subject to MAX_WIDTH).
+    A circuit whose gates are exactly a benchmark's concentrates on a single
+    outcome, so no statevector is needed and any width is supported.  Every
+    other circuit, a lowered benchmark included, is simulated (subject to
+    MAX_WIDTH).
     """
-    meta = circuit.metadata
-    if (
-        meta.get("benchmark") == "fourier_adder"
-        and meta.get("q") == circuit.width
-        and isinstance(meta.get("n"), int)
-    ):
-        return {ideal_output(circuit.width, meta["n"]): 1.0}
+    n = benchmark_input(circuit)
+    if n is not None:
+        return {ideal_output(circuit.width, n): 1.0}
     probs = np.abs(run_statevector(circuit)) ** 2
     probs = probs / probs.sum()
     out: dict[str, float] = {}
@@ -197,30 +195,40 @@ def run_noisy(
     """Sample ``shots`` measurements from the circuit under the given channel."""
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    rng = np.random.default_rng(seed)
     if isinstance(noise, GlobalDepolarizing):
-        n_2q = census(circuit).n_2q
-        p_clean = noise.f_2qg**n_2q
-        ideal = ideal_distribution(circuit)
-        clean = int(rng.binomial(shots, p_clean)) if shots else 0
-        counts: dict[str, int] = {}
-        if clean:
-            _merge(counts, _sample_from_distribution(ideal, clean, rng))
-        scrambled = shots - clean
-        if scrambled:
-            draws = rng.integers(0, 1 << circuit.width, size=scrambled)
-            vals, reps = np.unique(draws, return_counts=True)
-            _merge(
-                counts,
-                {
-                    format(int(v), f"0{circuit.width}b"): int(c)
-                    for v, c in zip(vals, reps)
-                },
-            )
-        return dict(sorted(counts.items()))
+        return sample_depolarized(circuit, census(circuit).n_2q, noise, shots, seed)
     if isinstance(noise, PauliTrajectory):
-        return _run_trajectories(circuit, noise.p, shots, rng)
+        return _run_trajectories(circuit, noise.p, shots, np.random.default_rng(seed))
     raise TypeError(f"unknown noise spec {noise!r}")
+
+
+def sample_depolarized(
+    circuit: Circuit, n_2q: int, noise: GlobalDepolarizing, shots: int, seed: int
+) -> dict[str, int]:
+    """``GlobalDepolarizing`` counts for a circuit that ran ``n_2q`` two-qubit gates.
+
+    The channel reads no gate past the ideal distribution, so a lowering's
+    two-qubit count can be paired with its source circuit.
+    """
+    rng = np.random.default_rng(seed)
+    p_clean = noise.f_2qg**n_2q
+    ideal = ideal_distribution(circuit)
+    clean = int(rng.binomial(shots, p_clean)) if shots else 0
+    counts: dict[str, int] = {}
+    if clean:
+        _merge(counts, _sample_from_distribution(ideal, clean, rng))
+    scrambled = shots - clean
+    if scrambled:
+        draws = rng.integers(0, 1 << circuit.width, size=scrambled)
+        vals, reps = np.unique(draws, return_counts=True)
+        _merge(
+            counts,
+            {
+                format(int(v), f"0{circuit.width}b"): int(c)
+                for v, c in zip(vals, reps)
+            },
+        )
+    return dict(sorted(counts.items()))
 
 
 def _run_trajectories(

@@ -19,26 +19,36 @@ output is exactly the concatenation of per-gate expansions.  Every expansion
 is unitary-equal to its source gate once the tracked global phase is applied,
 so a lowered circuit is equivalent to its source up to global phase.
 
-Because rules fire gate by gate, each distinct source gate is lowered once
-and its expansion reused from a ``LoweringMemo``.  A memo lives as long as
-something holds it (each ``SimProvider`` holds the one for its profile), so
-a campaign lowers each distinct gate once and frees the memo when it ends.
-The memo checks each expansion when it stores it, so ``transpile`` neither
-range-checks nor counts its output gate by gate.
+Because no rule elides a gate, how many one- and two-qubit gates a source
+gate lowers to depends on its kind alone, never on its angle or qubits.
+``lowered_census`` uses that to give the census of a lowering without
+emitting it: it counts the source gates by kind and multiplies by a
+per-profile table, derived by lowering one sample gate of each kind through
+the same rules.  Billing, gate limits and distribution-level noise read only
+that census, so ``transpile`` is needed only where lowered gates are run.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from operator import attrgetter
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateCensus, GateKind, build_benchmark, census
+from .circuit import (
+    ONE_QUBIT_KINDS,
+    PARAMETRIC_KINDS,
+    Circuit,
+    Gate,
+    GateCensus,
+    GateKind,
+    build_benchmark,
+    census,
+)
 from .simulator import gate_matrix, run_statevector
 
 
@@ -94,16 +104,9 @@ def euler_zyz(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, phi, theta, lam
 
 
-def _euler_angles(gate: Gate) -> tuple[float, float, float, float]:
-    return euler_zyz(gate_matrix(gate))
-
-
-_Euler = Callable[[Gate], tuple[float, float, float, float]]
-
-
-def _euler_triple(gate: Gate, euler: _Euler = _euler_angles) -> tuple[list[Gate], float]:
+def _euler_triple(gate: Gate) -> tuple[list[Gate], float]:
     """Full ZYZ expansion of a one-qubit gate, zero angles included."""
-    alpha, phi, theta, lam = euler(gate)
+    alpha, phi, theta, lam = euler_zyz(gate_matrix(gate))
     (t,) = gate.targets
     return (
         [Gate(GateKind.RZ, (t,), lam), Gate(GateKind.RY, (t,), theta), Gate(GateKind.RZ, (t,), phi)],
@@ -164,12 +167,12 @@ def _lower_efficient(g: Gate) -> tuple[list[Gate], float]:
     raise ValueError(f"no efficient lowering for {k}")
 
 
-def _lower_redundant(g: Gate, euler: _Euler = _euler_angles) -> tuple[list[Gate], float]:
+def _lower_redundant(g: Gate) -> tuple[list[Gate], float]:
     k = g.kind
     if g.arity == 1:
         # every one-qubit gate goes through the Euler canonicalizer, even
         # native rotations; identity-angle padding is emitted on purpose
-        return _euler_triple(g, euler)
+        return _euler_triple(g)
     if k is GateKind.CX:
         return [g], 0.0
     if k is GateKind.CP:
@@ -178,7 +181,7 @@ def _lower_redundant(g: Gate, euler: _Euler = _euler_angles) -> tuple[list[Gate]
         out: list[Gate] = []
         phase = t / 4
         for rz_target, angle, cx_after in ((a, t / 2, True), (b, -t / 2, True), (b, t / 2, False)):
-            triple, extra = _euler_triple(Gate(GateKind.RZ, (rz_target,), angle), euler)
+            triple, extra = _euler_triple(Gate(GateKind.RZ, (rz_target,), angle))
             out += triple
             phase += extra
             if cx_after:
@@ -186,7 +189,7 @@ def _lower_redundant(g: Gate, euler: _Euler = _euler_angles) -> tuple[list[Gate]
         return out, phase
     if k is GateKind.ZZ:
         a, b = g.targets
-        triple, extra = _euler_triple(Gate(GateKind.RZ, (b,), g.theta), euler)
+        triple, extra = _euler_triple(Gate(GateKind.RZ, (b,), g.theta))
         return (
             [Gate(GateKind.CX, (a, b)), *triple, Gate(GateKind.CX, (a, b))],
             extra,
@@ -200,102 +203,65 @@ def _lower_redundant(g: Gate, euler: _Euler = _euler_angles) -> tuple[list[Gate]
     raise ValueError(f"no redundant lowering for {k}")
 
 
-_Lowering = tuple[tuple[Gate, ...], float, int]  # expansion, phase, one-qubit count
+def _lower(g: Gate, profile: GateSetProfile) -> tuple[list[Gate], float]:
+    """Expansion and phase of one gate, checked before anything uses it.
 
-
-class LoweringMemo:
-    """Lowerings of distinct source gates under one profile.
-
-    A key is the gate's value plus the sign of its angle, because
-    ``-0.0 == 0.0`` while the two can lower to different angle bits.  Euler
-    angles are held too, keyed the same way without the targets, so gates
-    that differ only in where they act share one ``euler_zyz`` call.
+    Every emitted gate must be native and act only on ``g``'s targets.
     """
-
-    __slots__ = ("profile", "entries", "angles", "__weakref__")
-
-    def __init__(self, profile: GateSetProfile) -> None:
-        self.profile = profile
-        self.entries: dict[tuple, _Lowering] = {}
-        self.angles: dict[tuple, tuple[float, float, float, float]] = {}
-
-    def _euler(self, g: Gate) -> tuple[float, float, float, float]:
-        theta = g.theta
-        key = (g.kind, theta, theta is not None and math.copysign(1.0, theta))
-        angles = self.angles.get(key)
-        if angles is None:
-            angles = self.angles[key] = _euler_angles(g)
-        return angles
-
-    def lower(self, g: Gate) -> _Lowering:
-        """Lower one gate and check, once per distinct gate, its output.
-
-        Every emitted gate must be native and act only on ``g``'s targets,
-        so a lowered circuit needs no range check of its own.
-        """
-        if self.profile.native_2q is GateKind.ZZ:
-            expansion, phase = _lower_efficient(g)
-        else:
-            expansion, phase = _lower_redundant(g, self._euler)
-        n_1q = 0
-        allowed = frozenset(g.targets)
-        for out in expansion:
-            native = self.profile.native_1q if out.arity == 1 else {self.profile.native_2q}
-            if out.kind not in native:
-                raise AssertionError(f"lowering emitted non-native {out.kind}")
-            if not allowed.issuperset(out.targets):
-                raise AssertionError(f"lowering of {g} emitted {out} on a foreign qubit")
-            n_1q += out.arity == 1
-        return tuple(expansion), phase, n_1q
-
-
-_MEMOS: weakref.WeakValueDictionary[GateSetProfile, LoweringMemo] = (
-    weakref.WeakValueDictionary()
-)
-
-
-def lowering_memo(profile: GateSetProfile) -> LoweringMemo:
-    """The live memo for ``profile``, made if nothing holds one.
-
-    Holding the result keeps lowerings across ``transpile`` calls; once
-    nothing holds it, it is freed.
-    """
-    memo = _MEMOS.get(profile)
-    if memo is None:
-        memo = _MEMOS[profile] = LoweringMemo(profile)
-    return memo
+    rule = _lower_efficient if profile.native_2q is GateKind.ZZ else _lower_redundant
+    expansion, phase = rule(g)
+    allowed = frozenset(g.targets)
+    for out in expansion:
+        native = profile.native_1q if out.arity == 1 else {profile.native_2q}
+        if out.kind not in native:
+            raise AssertionError(f"lowering emitted non-native {out.kind}")
+        if not allowed.issuperset(out.targets):
+            raise AssertionError(f"lowering of {g} emitted {out} on a foreign qubit")
+    return expansion, phase
 
 
 def transpile(circuit: Circuit, profile: GateSetProfile) -> TranspileResult:
     """Lower every gate to the profile's native set; tracks global phase."""
-    memo = lowering_memo(profile)
-    entries = memo.entries
     gates: list[Gate] = []
     phase = 0.0
-    n_1q = 0
     for g in circuit.gates:
-        theta = g.theta
-        key = (g.kind, g.targets, theta, theta is not None and math.copysign(1.0, theta))
-        hit = entries.get(key)
-        if hit is None:
-            hit = entries[key] = memo.lower(g)
-        expansion, extra, ones = hit
+        expansion, extra = _lower(g, profile)
         gates += expansion
         phase += extra
-        n_1q += ones
-    lowered_census = GateCensus(n_1q=n_1q, n_2q=len(gates) - n_1q)
-    out = Circuit._lowered(
-        circuit.width,
-        tuple(gates),
-        {**circuit.metadata, "profile": profile.name},
-        lowered_census,
-    )
+    out = Circuit(circuit.width, tuple(gates), {**circuit.metadata, "profile": profile.name})
     return TranspileResult(
         circuit=out,
         global_phase=phase % (2 * math.pi),
         source_census=census(circuit),
-        census=lowered_census,
+        census=census(out),
     )
+
+
+@cache
+def _census_per_kind(profile: GateSetProfile) -> dict[GateKind, tuple[int, int]]:
+    """(n_1q, n_2q) that one gate of each kind lowers to under ``profile``."""
+    table = {}
+    for kind in GateKind:
+        targets = (0,) if kind in ONE_QUBIT_KINDS else (0, 1)
+        theta = 1.0 if kind in PARAMETRIC_KINDS else None
+        expansion, _ = _lower(Gate(kind, targets, theta), profile)
+        n_2q = sum(out.arity == 2 for out in expansion)
+        table[kind] = (len(expansion) - n_2q, n_2q)
+    return table
+
+
+_kind = attrgetter("kind")
+
+
+def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
+    """``transpile(circuit, profile).census``, counted without lowering a gate."""
+    table = _census_per_kind(profile)
+    n_1q = n_2q = 0
+    for kind, count in Counter(map(_kind, circuit.gates)).items():
+        per_1q, per_2q = table[kind]
+        n_1q += per_1q * count
+        n_2q += per_2q * count
+    return GateCensus(n_1q=n_1q, n_2q=n_2q)
 
 
 def verify_equivalence(a: Circuit, b: Circuit, *, seed: int = 20240917, inputs: int = 8) -> float:
@@ -338,9 +304,8 @@ def default_gate_limit(accept_q: int = 16, reject_q: int = 18) -> int:
     (all input bits set) and the smallest possible reject_q total (input 0),
     so acceptance depends only on width, never on the benchmark input.
     """
-    held = lowering_memo(REDUNDANT)  # the two lowerings share their ladder gates
-    hi = transpile(build_benchmark(accept_q, (1 << accept_q) - 1), REDUNDANT).census.total
-    lo = transpile(build_benchmark(reject_q, 0), REDUNDANT).census.total
+    hi = lowered_census(build_benchmark(accept_q, (1 << accept_q) - 1), REDUNDANT).total
+    lo = lowered_census(build_benchmark(reject_q, 0), REDUNDANT).total
     if hi >= lo:
         raise ValueError(f"widths {accept_q}/{reject_q} do not separate")
     return (hi + lo) // 2

@@ -124,17 +124,17 @@ def _processed_cost(preset, q, shots=500):
 
 
 def test_criterion_04_cost_oracles():
-    ok = str(target_profile("aria1-aws").billing.job_cost(500)) == "$15.30"
-    ok = ok and str(target_profile("forte1-aws").billing.job_cost(500)) == "$40.30"
-    ok = ok and str(target_profile("garnet-aws").billing.job_cost(500)) == "$1.03"
+    tiny = GateCensus(n_1q=1, n_2q=1)
+    ok = str(target_profile("aria1-aws").billing.job_cost(tiny, 500, 2)) == "$15.30"
+    ok = ok and str(target_profile("forte1-aws").billing.job_cost(tiny, 500, 2)) == "$40.30"
+    ok = ok and str(target_profile("garnet-aws").billing.job_cost(tiny, 500, 2)) == "$1.03"
 
     hq = target_profile("h1-azure").billing
     ok = ok and str(hq.cost_of_credits(Fraction(2338, 10))) == "$2289.86"
 
     ionq = target_profile("aria1-azure").billing
-    tiny = GateCensus(n_1q=1, n_2q=1)
-    ok = ok and str(ionq.job_cost(tiny, 1)) == "$12.42"
-    ok = ok and str(ionq.job_cost(tiny, 1, error_mitigated=True)) == "$97.50"
+    ok = ok and str(ionq.job_cost(tiny, 1, 2)) == "$12.42"
+    ok = ok and str(ionq.job_cost(tiny, 1, 2, error_mitigated=True)) == "$97.50"
 
     # per-shot clouds charge by volume alone: width never moves the bill
     small, large = _processed_cost("aria1-aws", 8), _processed_cost("aria1-aws", 16)

@@ -25,6 +25,8 @@ HQC_EMU = CreditBilling(usd_per_credit=Money.from_usd("0.1088"))
 ARIA = PerShotBilling(per_task=Money.from_usd("0.30"), per_shot=Money.from_usd("0.03"))
 FORTE = PerShotBilling(per_task=Money.from_usd("0.30"), per_shot=Money.from_usd("0.08"))
 GARNET = PerShotBilling(per_task=Money.from_usd("0.30"), per_shot=Money.from_usd("0.00145"))
+# per-shot billing reads neither the census nor the width
+ANY_CENSUS = GateCensus(100, 50)
 
 
 class TestMoney:
@@ -85,26 +87,26 @@ class TestMoney:
 
 class TestGateRate:
     def test_worked_example(self):
-        cost = IONQ.job_cost(GateCensus(100, 50), 500)
+        cost = IONQ.job_cost(GateCensus(100, 50), 500, 8)
         assert cost.micros == 35_375_000
         assert str(cost) == "$35.38"
 
     def test_minimum_floor(self):
-        assert IONQ.job_cost(GateCensus(1, 1), 1) == Money.from_usd("12.42")
-        assert IONQ.job_cost(GateCensus(1, 1), 1, error_mitigated=True) == Money.from_usd(
+        assert IONQ.job_cost(GateCensus(1, 1), 1, 2) == Money.from_usd("12.42")
+        assert IONQ.job_cost(GateCensus(1, 1), 1, 2, error_mitigated=True) == Money.from_usd(
             "97.50"
         )
 
     def test_mitigated_floor_only_when_raw_is_below(self):
         big = GateCensus(10_000, 10_000)
-        raw = IONQ.job_cost(big, 500)
-        assert IONQ.job_cost(big, 500, error_mitigated=True) == raw
+        raw = IONQ.job_cost(big, 500, 20)
+        assert IONQ.job_cost(big, 500, 20, error_mitigated=True) == raw
 
     def test_monotone_in_counts_and_shots(self):
-        base = IONQ.job_cost(GateCensus(300, 200), 400)
-        assert IONQ.job_cost(GateCensus(301, 200), 400) >= base
-        assert IONQ.job_cost(GateCensus(300, 201), 400) >= base
-        assert IONQ.job_cost(GateCensus(300, 200), 401) >= base
+        base = IONQ.job_cost(GateCensus(300, 200), 400, 10)
+        assert IONQ.job_cost(GateCensus(301, 200), 400, 10) >= base
+        assert IONQ.job_cost(GateCensus(300, 201), 400, 10) >= base
+        assert IONQ.job_cost(GateCensus(300, 200), 401, 10) >= base
 
 
 class TestCredits:
@@ -139,12 +141,12 @@ class TestCredits:
 
 class TestPerShot:
     def test_table_of_500_shot_costs(self):
-        assert str(ARIA.job_cost(500)) == "$15.30"
-        assert str(FORTE.job_cost(500)) == "$40.30"
-        assert str(GARNET.job_cost(500)) == "$1.03"  # 1.025 rounds up
+        assert str(ARIA.job_cost(ANY_CENSUS, 500, 8)) == "$15.30"
+        assert str(FORTE.job_cost(ANY_CENSUS, 500, 8)) == "$40.30"
+        assert str(GARNET.job_cost(ANY_CENSUS, 500, 8)) == "$1.03"  # 1.025 rounds up
 
     def test_task_fee_scales(self):
-        assert GARNET.job_cost(0, tasks=3) == Money.from_usd("0.90")
+        assert 3 * GARNET.job_cost(ANY_CENSUS, 0, 8) == Money.from_usd("0.90")
 
     def test_result_is_cent_quantized(self):
-        assert GARNET.job_cost(500).micros % 10_000 == 0
+        assert GARNET.job_cost(ANY_CENSUS, 500, 8).micros % 10_000 == 0

@@ -1,14 +1,12 @@
-"""Differential oracle for memoized lowering and the cached benchmark body.
+"""Differential oracle for lowering and the cached benchmark body.
 
 ``oracle_build_benchmark`` and ``oracle_transpile`` are the uncached
-originals: the benchmark is built gate by gate for every call, and every
-source gate is lowered again, with the native check and the census run over
-the whole output.  The fast paths must match them byte for byte, with the
-global phase equal to the bit.  ``oracle_census`` counts gate by gate; the
-census a lowered circuit carries from its memo must equal it.
+originals: the benchmark is built gate by gate for every call, and the
+native check and the census run over the whole lowered output.  The fast
+paths must match them byte for byte, with the global phase equal to the bit.
+``oracle_census`` counts gate by gate.
 """
 
-import gc
 import hashlib
 import math
 
@@ -27,15 +25,12 @@ from qbench.circuit import (
     inverse,
 )
 from qbench.cli import load_config, run_campaign
-from qbench.providers import SimProvider, target_profile
 from qbench.transpiler import (
     EFFICIENT,
     PROFILES,
     REDUNDANT,
     GateSetProfile,
-    LoweringMemo,
     TranspileResult,
-    lowering_memo,
     transpile,
 )
 from test_acceptance import CAMPAIGN_FIXTURE
@@ -116,20 +111,12 @@ def test_memoized_lowering_matches_oracle(q, profile_name):
         assert circuit_to_json(circuit) == circuit_to_json(source)
         want = oracle_transpile(source, profile)
         cases.append((circuit, want, circuit_to_json(want.circuit)))
-    # nothing holds a memo: each call lowers with one of its own
-    assert profile not in transpiler._MEMOS
     for circuit, want, want_json in cases:
         assert_same_lowering(transpile(circuit, profile), want, want_json)
-    # one held memo: every input after the first reuses its lowerings
-    held = lowering_memo(profile)
-    for circuit, want, want_json in cases:
-        assert_same_lowering(transpile(circuit, profile), want, want_json)
-    assert lowering_memo(profile) is held
 
 
 @pytest.mark.parametrize("profile", [EFFICIENT, REDUNDANT], ids=lambda p: p.name)
 def test_signed_zero_angles_keep_their_sign(profile):
-    held = lowering_memo(profile)
     for gate in (
         Gate(GateKind.P, (0,), 0.0),
         Gate(GateKind.P, (0,), -0.0),
@@ -139,13 +126,6 @@ def test_signed_zero_angles_keep_their_sign(profile):
     ):
         circuit = Circuit(1, (gate,))
         assert_same_lowering(transpile(circuit, profile), oracle_transpile(circuit, profile))
-    assert len(held.entries) == 4
-
-
-def test_providers_of_one_profile_share_a_memo():
-    a, b = SimProvider(target_profile("aria1-aws")), SimProvider(target_profile("garnet-aws"))
-    assert a._memo is b._memo is lowering_memo(REDUNDANT)
-    assert SimProvider(target_profile("h2-azure"))._memo is lowering_memo(EFFICIENT)
 
 
 def _criterion_08_store(tmp_path):
@@ -161,17 +141,11 @@ def test_criterion_08_store_matches_unmemoized_lowering(tmp_path):
     assert hashlib.sha256(store.read_bytes()).hexdigest() == CRITERION_08_STORE_SHA256
 
 
-def test_no_memo_outlives_its_campaign(tmp_path):
-    _criterion_08_store(tmp_path)
-    gc.collect()
-    assert list(transpiler._MEMOS.keys()) == []
-
-
 def _shifted(rule, source):
     """``rule``, except that ``source`` lowers to gates one qubit higher."""
 
-    def patched(g, *args):
-        expansion, phase = rule(g, *args)
+    def patched(g):
+        expansion, phase = rule(g)
         if g != source:
             return expansion, phase
         return [Gate(e.kind, tuple(t + 1 for t in e.targets), e.theta) for e in expansion], phase
@@ -184,10 +158,7 @@ def test_memo_refuses_an_expansion_on_a_foreign_qubit(profile, monkeypatch):
     rule = "_lower_efficient" if profile is EFFICIENT else "_lower_redundant"
     source = Gate(GateKind.P, (0,), 0.5)
     monkeypatch.setattr(transpiler, rule, _shifted(getattr(transpiler, rule), source))
-    memo = LoweringMemo(profile)
-    memo.lower(Gate(GateKind.P, (1,), 0.5))  # other gates lower as before
-    with pytest.raises(AssertionError, match="foreign qubit"):
-        memo.lower(source)
+    transpile(Circuit(2, (Gate(GateKind.P, (1,), 0.5),)), profile)  # other gates lower as before
     # in range for the circuit, but not the source gate's qubit: refused all the same
     with pytest.raises(AssertionError, match="foreign qubit"):
         transpile(Circuit(2, (source,)), profile)
@@ -198,9 +169,9 @@ def test_memo_refuses_an_expansion_on_a_foreign_qubit(profile, monkeypatch):
 @pytest.mark.parametrize("profile", [EFFICIENT, REDUNDANT], ids=lambda p: p.name)
 def test_memo_refuses_a_non_native_expansion(profile, monkeypatch):
     rule = "_lower_efficient" if profile is EFFICIENT else "_lower_redundant"
-    monkeypatch.setattr(transpiler, rule, lambda g, *args: ([Gate(GateKind.P, g.targets, 0.5)], 0.0))
+    monkeypatch.setattr(transpiler, rule, lambda g: ([Gate(GateKind.P, g.targets, 0.5)], 0.0))
     with pytest.raises(AssertionError, match="non-native"):
-        LoweringMemo(profile).lower(Gate(GateKind.RZ, (0,), 0.5))
+        transpile(Circuit(1, (Gate(GateKind.RZ, (0,), 0.5),)), profile)
 
 
 @pytest.mark.parametrize("kind", [GateKind.CP, GateKind.SWAP, GateKind.RZ])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qbench.circuit import build_benchmark
+from qbench.circuit import build_benchmark, random_input
 from qbench.costing import CreditBilling, Money, credit_charge
 from qbench.providers import (
     ACCEPT_HOLD,
@@ -24,6 +24,9 @@ from qbench.providers import (
     reduced_capacity,
     target_profile,
 )
+from qbench.rng import derive_seed
+from qbench.simulator import PauliTrajectory, run_noisy
+from qbench.transpiler import transpile
 
 H = 3600
 
@@ -326,9 +329,17 @@ def test_gate_rate_bill_grows_with_the_circuit():
     assert prov.job_cost(h) == expect
 
 
+def test_error_mitigated_target_bills_the_mitigated_minimum():
+    profile = dataclasses.replace(target_profile("aria1-azure"), error_mitigated=True)
+    prov = SimProvider(profile)
+    h = prov.submit(build_benchmark(2, 0), 500, 0, seed=11)
+    assert prov.poll(h, h.exec_end).status is JobStatus.PROCESSED
+    assert prov.job_cost(h) == Money.from_usd("97.50")
+
+
 def test_credit_bill_matches_the_formula():
     prov, h = _processed_handle("h1-azure", 6, 200, clock=18 * H)
-    credits = credit_charge(h.census, 200, h.lowered.circuit.width)
+    credits = credit_charge(h.census, 200, h.circuit.width)
     assert prov.job_cost(h) == CreditBilling(Money.from_usd("9.7941")).cost_of_credits(credits)
 
 
@@ -344,6 +355,49 @@ def test_unpriced_submissions_cost_nothing():
     prov = _provider("h1-azure")
     h = prov.submit(build_benchmark(5, 0), 100, 4 * H, seed=6)
     assert prov.job_cost(h) == Money.zero()  # still queued
+
+
+# --- execution: census-first jobs against lowering every job --------------------
+
+
+def _run_and_lower(profile, q, shots, seed):
+    """The provider's counts and census, and the lowering the job stands for."""
+    prov = SimProvider(profile)
+    circuit = build_benchmark(q, random_input(q, seed), seed=seed)
+    h = prov.submit(circuit, shots, 0, seed=seed)
+    result = prov.poll(h, h.exec_end)
+    assert result.status is JobStatus.PROCESSED
+    return h, result.counts, transpile(circuit, profile.gate_profile)
+
+
+@pytest.mark.parametrize(
+    "name", ["aria1-aws", "aria1-azure", "garnet-aws", "h2-azure", "h1-emulator"]
+)
+@pytest.mark.parametrize("q", [2, 5, 8, 10])
+def test_depolarizing_job_matches_running_its_lowering(name, q):
+    profile = target_profile(name)
+    h, counts, lowered = _run_and_lower(profile, q, 400, seed=q)
+    assert h.census == lowered.census
+    assert h.lowered is None  # nothing ran the lowered gates
+    # the lowered benchmark is simulated here, so this is the channel on the
+    # gates the job stands for
+    assert counts == run_noisy(lowered.circuit, profile.noise, 400, derive_seed(q, "shots"))
+
+
+@pytest.mark.parametrize("name,q", [("h2-azure", 30), ("forte1-aws", 20), ("garnet-aws", 16)])
+def test_depolarizing_job_census_matches_its_lowering_past_the_statevector_cap(name, q):
+    h, _, lowered = _run_and_lower(target_profile(name), q, 100, seed=q)
+    assert h.census == lowered.census
+
+
+@pytest.mark.parametrize("q", [1, 3, 6])
+def test_trajectory_job_runs_its_lowering(q):
+    noise = PauliTrajectory(0.05)
+    profile = dataclasses.replace(target_profile("aria1-azure"), noise=noise)
+    h, counts, lowered = _run_and_lower(profile, q, 60, seed=q)
+    assert h.lowered == lowered
+    assert h.census == lowered.census
+    assert counts == run_noisy(lowered.circuit, noise, 60, derive_seed(q, "shots"))
 
 
 def test_all_presets_resolve():

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from qbench.circuit import Circuit, Gate, GateKind, build_benchmark, ideal_output, inverse
+from qbench.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    build_benchmark,
+    circuit_from_json,
+    circuit_to_json,
+    ideal_output,
+    inverse,
+)
 from qbench.simulator import (
     MAX_WIDTH,
     GlobalDepolarizing,
@@ -131,6 +140,41 @@ class TestIdealDistribution:
     def test_works_beyond_statevector_cap(self):
         c = build_benchmark(30, 12345)
         assert ideal_distribution(c) == {ideal_output(30, 12345): 1.0}
+
+    def test_truncated_benchmark_is_simulated_not_read_from_metadata(self):
+        built = build_benchmark(4, 3)
+        truncated = Circuit(4, built.gates[:-5], built.metadata)
+        c = circuit_from_json(circuit_to_json(truncated))
+        assert c.metadata["n"] == 3
+        dist = ideal_distribution(c)
+        assert sorted(dist) == ["0000", "0100", "1000", "1100"]
+        assert all(p == pytest.approx(0.25) for p in dist.values())
+
+    def test_benchmark_is_recognised_by_its_gates_alone(self):
+        # through JSON every gate is a new object, and the metadata is gone
+        c = circuit_from_json(circuit_to_json(Circuit(5, build_benchmark(5, 22).gates)))
+        assert ideal_distribution(c) == {ideal_output(5, 22): 1.0}
+        # the metadata names an input the X prefix does not prepare
+        relabeled = Circuit(5, build_benchmark(5, 22).gates, build_benchmark(5, 7).metadata)
+        assert ideal_distribution(relabeled) == {ideal_output(5, 22): 1.0}
+
+    def test_edited_body_is_simulated(self):
+        # doubling every adder angle adds two, not one; the length is unchanged
+        gates = [
+            Gate(g.kind, g.targets, 2 * g.theta) if g.kind is GateKind.P else g
+            for g in build_benchmark(4, 3).gates
+        ]
+        dist = ideal_distribution(Circuit(4, tuple(gates)))
+        assert max(dist, key=dist.get) == format(5, "04b")
+        assert dist[format(5, "04b")] == pytest.approx(1.0)
+
+    def test_body_after_a_prefix_other_than_x_gates_is_simulated(self):
+        # H prepares |0> + |1>, so the adder splits it between 0 + 1 and 1 + 1
+        body = build_benchmark(4, 0).gates
+        c = Circuit(4, (Gate(GateKind.H, (0,)),) + body)
+        dist = ideal_distribution(c)
+        assert sorted(dist) == [ideal_output(4, 0), ideal_output(4, 1)]
+        assert all(p == pytest.approx(0.5) for p in dist.values())
 
     def test_plain_circuit_falls_back_to_simulation(self):
         c = Circuit(width=2, gates=(Gate(GateKind.H, (0,)),))
