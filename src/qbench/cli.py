@@ -16,29 +16,31 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from types import UnionType
-from typing import Sequence, get_args, get_type_hints
+from typing import Iterator, Sequence
 
 from .analysis import REPORT_KINDS, benchmark_fidelity, write_report
 from .circuit import build_benchmark, random_input
 from .costing import Money
 from .providers import (
     DAY,
+    JobHandle,
     JobStatus,
+    PollResult,
     PRESET_NAMES,
-    QueueModel,
     SimProvider,
     TargetProfile,
     target_profile,
 )
 from .rng import derive_seed
 from .simulator import GlobalDepolarizing
-from .store import JobRecord, JobStore, StoreError, default_store_path
+from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, default_store_path
 
 DEFAULT_SEED = 20240917
 SUBMIT_SPACING = 300  # seconds between consecutive submissions in a sweep
@@ -78,15 +80,9 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
     return values
 
 
-_OVERRIDE_KEYS = {
-    "f_2qg",
-    "gate_limit",
-    "qubits",
-    "execution_seconds",
-    "queue_mu",
-    "queue_sigma",
-    "queue_bias",
-}
+# queue override key -> QueueModel field
+_QUEUE_KEYS = {"queue_mu": "mu", "queue_sigma": "sigma", "queue_bias": "predictor_bias"}
+_OVERRIDE_KEYS = {"f_2qg", "gate_limit", "qubits", "execution_seconds", *_QUEUE_KEYS}
 
 
 def _apply_overrides(profile: TargetProfile, section) -> TargetProfile:
@@ -103,13 +99,9 @@ def _apply_overrides(profile: TargetProfile, section) -> TargetProfile:
         changes["qubits"] = section.getint("qubits")
     if "execution_seconds" in section:
         changes["execution_seconds"] = section.getint("execution_seconds")
-    if {"queue_mu", "queue_sigma", "queue_bias"} & set(section):
-        q = profile.queue
-        changes["queue"] = QueueModel(
-            mu=section.getfloat("queue_mu", q.mu),
-            sigma=section.getfloat("queue_sigma", q.sigma),
-            predictor_bias=section.getfloat("queue_bias", q.predictor_bias),
-        )
+    queue = {field: section.getfloat(key) for key, field in _QUEUE_KEYS.items() if key in section}
+    if queue:
+        changes["queue"] = dataclasses.replace(profile.queue, **queue)
     return dataclasses.replace(profile, **changes)
 
 
@@ -151,6 +143,8 @@ def load_config(path: str) -> CampaignConfig:
         raise ConfigError(f"bad config value: {exc}") from exc
     if shots < 1 or days < 1 or sweeps < 1 or DAY % sweeps:
         raise ConfigError("shots/days/sweeps_per_day must be positive (sweeps divide a day)")
+    if budget_cap is not None and budget_cap.micros < 0:
+        raise ConfigError("budget_cap must be >= 0")
     return CampaignConfig(
         qubits=qubits,
         shots=shots,
@@ -163,90 +157,88 @@ def load_config(path: str) -> CampaignConfig:
     )
 
 
-def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
-    store = JobStore(store_path)
-    providers = {p.name: SimProvider(p) for p in cfg.targets}
-    spent: dict[str, Money] = {p.name: Money(0) for p in cfg.targets}
-    by_status: dict[str, int] = {}
-    by_target: dict[str, dict] = {
-        p.name: {"jobs": 0, "statuses": {}, "cost_usd": "$0.00"} for p in cfg.targets
-    }
-    skipped_budget = 0
+def _jobs(cfg: CampaignConfig) -> Iterator[tuple[int, TargetProfile, int, int, str]]:
+    """(clock, profile, qubits, seed, job_id) of each submission slot, in campaign order.
+
+    A sweep spaces its (target, qubits) slots SUBMIT_SPACING seconds apart.
+    """
     sweep_len = DAY // cfg.sweeps_per_day
     for day in range(cfg.days):
         for sweep in range(cfg.sweeps_per_day):
-            idx = 0
-            for profile in cfg.targets:
-                provider = providers[profile.name]
-                for q in cfg.qubits:
-                    clock = day * DAY + sweep * sweep_len + idx * SUBMIT_SPACING
-                    idx += 1
-                    if cfg.budget_cap is not None and spent[profile.name] >= cfg.budget_cap:
-                        skipped_budget += 1
-                        continue
-                    job_seed = derive_seed(cfg.seed, day, sweep, profile.name, q)
-                    n = random_input(q, job_seed)
-                    circuit = build_benchmark(q, n, seed=job_seed)
-                    job_id = f"{profile.name}-d{day:02d}s{sweep}-q{q:02d}"
-                    handle = provider.submit(
-                        circuit, cfg.shots, clock, seed=job_seed, job_id=job_id
-                    )
-                    poll_clock = handle.exec_end if handle.exec_end is not None else clock
-                    result = provider.poll(handle, poll_clock)
-                    cost = provider.job_cost(handle)
-                    fidelity = success = None
-                    if result.status is JobStatus.PROCESSED:
-                        score = benchmark_fidelity(result.counts, q, n)
-                        fidelity, success = score.value, score.success
-                    record = JobRecord(
-                        job_id=job_id,
-                        cloud=profile.cloud,
-                        target=profile.name,
-                        qubits=q,
-                        shots=cfg.shots,
-                        seed=job_seed,
-                        submitted_at=clock,
-                        status=result.status,
-                        cost=cost,
-                        executed_at=(
-                            handle.exec_end
-                            if result.status is JobStatus.PROCESSED
-                            else None
-                        ),
-                        predicted_wait=handle.predicted_wait,
-                        actual_wait=(
-                            handle.actual_wait
-                            if result.status is JobStatus.PROCESSED
-                            else None
-                        ),
-                        census=handle.census,
-                        counts=result.counts,
-                        fidelity=fidelity,
-                        success=success,
-                        error_message=result.error_message,
-                    )
-                    store.append(record)
-                    spent[profile.name] = spent[profile.name] + cost
-                    by_status[result.status.value] = (
-                        by_status.get(result.status.value, 0) + 1
-                    )
-                    slot = by_target[profile.name]
-                    slot["jobs"] += 1
-                    slot["statuses"][result.status.value] = (
-                        slot["statuses"].get(result.status.value, 0) + 1
-                    )
-    total = Money(0)
-    for name, m in spent.items():
-        by_target[name]["cost_usd"] = str(m)
-        total = total + m
+            slots = itertools.product(cfg.targets, cfg.qubits)
+            for idx, (profile, q) in enumerate(slots):
+                clock = day * DAY + sweep * sweep_len + idx * SUBMIT_SPACING
+                seed = derive_seed(cfg.seed, day, sweep, profile.name, q)
+                yield clock, profile, q, seed, f"{profile.name}-d{day:02d}s{sweep}-q{q:02d}"
+
+
+def record_from_poll(
+    handle: JobHandle, result: PollResult, cost: Money, q: int, n: int
+) -> JobRecord:
+    """The stored record of a polled benchmark job on ``q`` qubits with input ``n``.
+
+    Results, scores and execution times are kept only when the job was processed.
+    """
+    processed = result.status is JobStatus.PROCESSED
+    score = benchmark_fidelity(result.counts, q, n) if processed else None
+    return JobRecord(
+        job_id=handle.job_id,
+        cloud=handle.target.cloud,
+        target=handle.target.name,
+        qubits=q,
+        shots=handle.shots,
+        seed=handle.seed,
+        submitted_at=handle.submitted_at,
+        status=result.status,
+        cost=cost,
+        executed_at=handle.exec_end if processed else None,
+        predicted_wait=handle.predicted_wait,
+        actual_wait=handle.actual_wait if processed else None,
+        census=handle.census,
+        counts=result.counts,
+        fidelity=score.value if processed else None,
+        success=score.success if processed else None,
+        error_message=result.error_message,
+    )
+
+
+def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
+    store = JobStore(store_path)
+    providers = {p.name: SimProvider(p) for p in cfg.targets}
+    spent = {p.name: Money(0) for p in cfg.targets}
+    tally: Counter[tuple[str, str | None]] = Counter()  # (target, status); None: budget skip
+    for clock, profile, q, seed, job_id in _jobs(cfg):
+        if cfg.budget_cap is not None and spent[profile.name] >= cfg.budget_cap:
+            tally[profile.name, None] += 1
+            continue
+        provider = providers[profile.name]
+        n = random_input(q, seed)
+        circuit = build_benchmark(q, n, seed=seed)
+        handle = provider.submit(circuit, cfg.shots, clock, seed=seed, job_id=job_id)
+        result = provider.poll(handle, clock if handle.exec_end is None else handle.exec_end)
+        cost = provider.job_cost(handle)
+        store.append(record_from_poll(handle, result, cost, q, n))
+        spent[profile.name] += cost
+        tally[profile.name, result.status.value] += 1
+    return _campaign_summary(store_path, tally, spent)
+
+
+def _campaign_summary(store_path: str, tally: Counter, spent: dict[str, Money]) -> dict:
+    by_target = {name: {"jobs": 0, "statuses": {}, "cost_usd": str(m)} for name, m in spent.items()}
+    by_status: Counter[str] = Counter()
+    for (target, status), count in tally.items():
+        if status is not None:
+            by_target[target]["jobs"] += count
+            by_target[target]["statuses"][status] = count
+            by_status[status] += count
     return {
         "command": "campaign run",
         "store": store_path,
-        "jobs": sum(by_status.values()),
+        "jobs": by_status.total(),
         "by_status": dict(sorted(by_status.items())),
         "by_target": by_target,
-        "skipped_budget": skipped_budget,
-        "total_cost_usd": str(total),
+        "skipped_budget": sum(n for (_, status), n in tally.items() if status is None),
+        "total_cost_usd": str(sum(spent.values(), Money(0))),
     }
 
 
@@ -285,28 +277,15 @@ _PARSE_BY_TYPE = {
 }
 
 
-def _field_type(hint):
-    """The declared type of a ``JobRecord`` field, with ``| None`` dropped."""
-    if isinstance(hint, UnionType):
-        (hint,) = [t for t in get_args(hint) if t is not type(None)]
-    return hint
-
-
-_FILTER_PARSERS = {
-    name: _PARSE_BY_TYPE.get(_field_type(hint))
-    for name, hint in get_type_hints(JobRecord).items()
-}
-
-
 def _coerce_filter_value(key: str, text: str):
     """Parse a filter value by the type of the field ``key`` names.
 
     A name that is not a field passes through, so the store reports it.
     """
     name = key.partition("__")[0]
-    if name not in _FILTER_PARSERS:
+    if name not in RECORD_FIELDS:
         return text
-    parse = _FILTER_PARSERS[name]
+    parse = _PARSE_BY_TYPE.get(RECORD_FIELDS[name][0])
     if parse is None:
         raise ConfigError(f"field {name!r} cannot be filtered")
     try:
@@ -346,10 +325,7 @@ def cmd_campaign_run(args) -> int:
 
 def cmd_jobs_poll(args) -> int:
     store = JobStore(_resolve_store(args.store))
-    counts: dict[tuple[str, str], int] = {}
-    for record in store.records():
-        key = (record.target, record.status.value)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter((r.target, r.status.value) for r in store.records())
     summary = {
         "command": "jobs poll",
         "jobs": len(store),

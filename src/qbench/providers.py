@@ -138,6 +138,8 @@ class DailyWindowSchedule:
             raise ValueError("window start and end must lie within [0, DAY)")
         if self.start == self.end:
             raise ValueError("window start must differ from end")
+        if self.outside.state is TargetState.AVAILABLE:
+            raise ValueError("the status outside the window must not be available")
 
     def _inside(self, clock: int) -> bool:
         s = clock % DAY
@@ -175,6 +177,10 @@ class RecurringOutageSchedule:
             raise ValueError("outage_start must lie within the period")
         if self.outage_start + self.outage_len > self.period:
             raise ValueError("outage must not wrap the period")
+        if self.outage_len == self.period:
+            raise ValueError("outage must leave part of the period available")
+        if self.outage_status.state is TargetState.AVAILABLE:
+            raise ValueError("the outage status must not be available")
 
     def _in_outage(self, clock: int) -> bool:
         s = clock % self.period
@@ -203,6 +209,12 @@ class QueueModel:
     sigma: float
     predictor_bias: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.mu, self.sigma, self.predictor_bias))):
+            raise ValueError("queue mu, sigma and predictor_bias must be finite")
+        if self.sigma < 0 or self.predictor_bias < 0:
+            raise ValueError("queue sigma and predictor_bias must be >= 0")
+
     def draw_wait(self, rng: np.random.Generator) -> float:
         return float(math.exp(self.mu + self.sigma * rng.standard_normal()))
 
@@ -230,6 +242,14 @@ class TargetProfile:
     execution_seconds: int = 60
     error_mitigated: bool = False
 
+    def __post_init__(self) -> None:
+        if self.qubits < 1:
+            raise ValueError(f"{self.name}: qubits must be >= 1")
+        if self.execution_seconds < 0:
+            raise ValueError(f"{self.name}: execution_seconds must be >= 0")
+        if self.gate_limit is not None and self.gate_limit < 0:
+            raise ValueError(f"{self.name}: gate_limit must be none or >= 0")
+
 
 @dataclass
 class JobHandle:
@@ -254,7 +274,6 @@ class JobHandle:
     actual_wait: float | None = None
     exec_start: int | None = None
     exec_end: int | None = None
-    canceled_at: int | None = None
     _counts: dict[str, int] | None = field(default=None, repr=False)
 
 
@@ -386,10 +405,8 @@ class SimProvider:
         return run_noisy(handle.lowered.circuit, noise, handle.shots, seed)
 
     def _status_at(self, handle: JobHandle, clock: int) -> JobStatus:
-        if handle.status in (JobStatus.UNAVAILABLE, JobStatus.ERROR):
+        if handle.status in (JobStatus.UNAVAILABLE, JobStatus.ERROR, JobStatus.CANCELED):
             return handle.status
-        if handle.canceled_at is not None:
-            return JobStatus.CANCELED
         if handle.exec_end is not None and clock >= handle.exec_end:
             return JobStatus.PROCESSED
         return JobStatus.SUBMITTED
@@ -398,9 +415,9 @@ class SimProvider:
         mine = handle.exec_start if handle.exec_start is not None else math.inf
         ahead = 0
         for other in self._handles.values():
-            if other.job_id == handle.job_id or other.canceled_at is not None:
+            if other.job_id == handle.job_id or other.exec_end is None:
                 continue
-            if other.exec_end is None or other.status in (JobStatus.ERROR, JobStatus.UNAVAILABLE):
+            if other.status in (JobStatus.ERROR, JobStatus.UNAVAILABLE, JobStatus.CANCELED):
                 continue
             if other.exec_end > clock and (other.exec_start or 0) < mine:
                 ahead += 1
@@ -413,7 +430,6 @@ class SimProvider:
             if status is not JobStatus.SUBMITTED:
                 return status
             if handle.exec_start is None or clock < handle.exec_start:
-                handle.canceled_at = clock
                 handle.status = JobStatus.CANCELED
                 return JobStatus.CANCELED
             return JobStatus.SUBMITTED  # already running; too late to cancel

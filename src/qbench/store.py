@@ -8,8 +8,13 @@ index keyed by job_id is rebuilt on every open and kept in memory only;
 campaign-scale stores (thousands of lines) scan in milliseconds, so there is
 nothing to be gained from persisting it.
 
-Money is stored as integer micro-USD under ``cost``.  Timestamps are integer
-seconds from the campaign epoch.  Query supports equality on any field and
+``JobRecord``'s annotations are the format: each field is stored under its
+name as its declared type, except the three types ``_STORED_AS`` maps to JSON
+(a ``JobStatus`` as its text, ``Money`` as integer micro-USD under ``cost``, a
+``GateCensus`` as ``{n_1q, n_2q, total}``).  Reads check every value against
+its declared type, then ``validate`` it, so a line that ``append`` would have
+refused fails the open with ``path:line``.  Timestamps are integer seconds
+from the campaign epoch.  Query supports equality on any field and
 range operators via ``field__ge / __gt / __le / __lt`` suffixes; a filter
 value may be given as the field's type (``Money``, ``JobStatus``) or in its
 stored form (micro-USD, status text).  Results are ordered by (submitted_at,
@@ -23,9 +28,12 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from types import NoneType, UnionType
+from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .circuit import GateCensus
 from .costing import Money
@@ -86,68 +94,81 @@ class JobRecord:
             raise StoreError(f"{self.job_id}: unavailable submissions cost nothing")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "cloud": self.cloud,
-            "target": self.target,
-            "qubits": self.qubits,
-            "shots": self.shots,
-            "seed": self.seed,
-            "submitted_at": self.submitted_at,
-            "executed_at": self.executed_at,
-            "predicted_wait": self.predicted_wait,
-            "actual_wait": self.actual_wait,
-            "status": self.status.value,
-            "census": None if self.census is None else self.census.as_dict(),
-            "counts": self.counts,
-            "fidelity": self.fidelity,
-            "success": self.success,
-            "cost": self.cost.micros,
-            "error_message": self.error_message,
-        }
+        return {name: _flat(getattr(self, name)) for name in RECORD_FIELDS}
 
     @classmethod
-    def from_dict(cls, obj: dict[str, Any]) -> "JobRecord":
-        try:
-            cen = obj["census"]
-            census = None if cen is None else GateCensus(n_1q=cen["n_1q"], n_2q=cen["n_2q"])
-            if census is not None and census.total != cen["total"]:
-                raise StoreError(f"census total mismatch in {obj.get('job_id')}")
-            return cls(
-                job_id=obj["job_id"],
-                cloud=obj["cloud"],
-                target=obj["target"],
-                qubits=obj["qubits"],
-                shots=obj["shots"],
-                seed=obj["seed"],
-                submitted_at=obj["submitted_at"],
-                executed_at=obj["executed_at"],
-                predicted_wait=obj["predicted_wait"],
-                actual_wait=obj["actual_wait"],
-                status=JobStatus(obj["status"]),
-                census=census,
-                counts=obj["counts"],
-                fidelity=obj["fidelity"],
-                success=obj["success"],
-                cost=Money(obj["cost"]),
-                error_message=obj["error_message"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"malformed record object: {exc}") from exc
+    def from_dict(cls, obj: Any) -> "JobRecord":
+        """Decode a stored object; raises StoreError for anything ``append`` refuses."""
+        if type(obj) is not dict:
+            raise StoreError("a record line must hold a JSON object")
+        if obj.keys() != RECORD_FIELDS.keys():
+            raise StoreError(f"missing or unknown keys {sorted(obj.keys() ^ RECORD_FIELDS.keys())}")
+        values = dict(obj)
+        for name, (types, decode) in _CODECS.items():
+            value = obj[name]
+            if type(value) not in types:
+                typ = RECORD_FIELDS[name][0]
+                raise StoreError(f"{name} holds {value!r:.40}, not a stored {typ.__name__}")
+            if decode is not None and value is not None:
+                try:
+                    values[name] = decode(value)
+                except ValueError as exc:
+                    raise StoreError(f"{name}: {exc}") from exc
+        record = cls(**values)
+        record.validate()
+        return record
 
 
-_FIELD_NAMES = frozenset(f.name for f in fields(JobRecord))
+def _declared(hint: Any) -> tuple[Any, bool]:
+    """A field annotation as (type, may be None)."""
+    if isinstance(hint, UnionType):
+        (typ,) = [t for t in get_args(hint) if t is not NoneType]
+        return typ, True
+    return hint, False
 
-# a field value as query filters compare it and CSV cells show it
+
+# the stored format: field name -> (declared type, may be None), in field order
+RECORD_FIELDS = {name: _declared(hint) for name, hint in get_type_hints(JobRecord).items()}
+
+
+def _census_from_json(obj: dict[str, int]) -> GateCensus:
+    census = GateCensus(n_1q=obj.get("n_1q", 0), n_2q=obj.get("n_2q", 0))
+    if census.as_dict() != obj:  # a missing or unknown key, or a wrong total
+        raise ValueError(f"{obj} is not {census.as_dict()}")
+    return census
+
+
+# field types not stored as themselves: type -> (JSON type, to JSON, from JSON)
+_STORED_AS = {
+    JobStatus: (str, attrgetter("value"), JobStatus),
+    Money: (int, attrgetter("micros"), Money),
+    GateCensus: (dict[str, int], GateCensus.as_dict, _census_from_json),
+}
+
+
+# a field value as the store writes it, query filters compare it and CSV cells show it
 def _flat(value: Any) -> Any:
-    if isinstance(value, JobStatus):
-        return value.value
-    if isinstance(value, Money):
-        return value.micros
-    if isinstance(value, GateCensus):
-        return value.as_dict()
-    return value
+    codec = _STORED_AS.get(type(value))
+    return value if codec is None else codec[1](value)
 
+
+def _codec(typ: Any, optional: bool):
+    """(the JSON types a stored value may have, its check-and-decode or None)."""
+    json_type, _, decode = _STORED_AS.get(typ, (typ, None, None))
+    if get_origin(json_type) is dict:  # JSON object keys are always text
+        json_type, decode = dict, partial(_decode_object, get_args(json_type)[1], decode)
+    # an int passes for a float, a bool never for an int
+    types = {json_type, int} if json_type is float else {json_type}
+    return types | {NoneType} if optional else types, decode
+
+
+def _decode_object(value_type: type, decode, obj: dict) -> Any:
+    if not set(map(type, obj.values())) <= {value_type}:
+        raise ValueError(f"values are not all {value_type.__name__}")
+    return obj if decode is None else decode(obj)
+
+
+_CODECS = {name: _codec(typ, optional) for name, (typ, optional) in RECORD_FIELDS.items()}
 
 _RANGE_OPS = {
     "ge": lambda a, b: a >= b,
@@ -159,7 +180,7 @@ _RANGE_OPS = {
 
 def _predicate(key: str, want: Any):
     name, _, op = key.partition("__")
-    if name not in _FIELD_NAMES:
+    if name not in RECORD_FIELDS:
         raise StoreError(f"unknown query field {name!r}")
     want = _flat(want)  # a Money or JobStatus filter compares like the stored field
     if not op:
@@ -200,10 +221,11 @@ class JobStore:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                record = JobRecord.from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise StoreError(f"{self.path}:{lineno}: corrupt record line") from exc
-            record = JobRecord.from_dict(obj)
+            except StoreError as exc:
+                raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
             if record.job_id in self._index:
                 raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
             self._index[record.job_id] = len(self._records)
@@ -252,9 +274,9 @@ class JobStore:
         **filters: Any,
     ) -> int:
         """Write matching records as RFC-4180 CSV; returns the row count."""
-        cols = list(columns) if columns is not None else [f.name for f in fields(JobRecord)]
+        cols = list(columns) if columns is not None else list(RECORD_FIELDS)
         for c in cols:
-            if c not in _FIELD_NAMES:
+            if c not in RECORD_FIELDS:
                 raise StoreError(f"unknown export column {c!r}")
         rows = self.query(**filters)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -8,7 +8,7 @@ from qbench.cli import ConfigError, _parse_qubits, load_config, main
 from qbench.costing import Money
 from qbench.providers import JobStatus
 from qbench.store import JobStore
-from test_store import make_record, processed_record
+from test_store import MALFORMED_EDITS, make_record, processed_record, write_malformed_store
 
 
 def run_cli(*args):
@@ -86,6 +86,38 @@ def test_load_config_rejects_bad_input(tmp_path):
     ):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path / "bad.ini", body))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "budget_cap = -5",
+        "execution_seconds = -100",
+        "gate_limit = -1",
+        "qubits = 0",
+        "queue_bias = -1",
+        "queue_sigma = -0.5",
+        "queue_mu = nan",
+        "queue_sigma = inf",
+    ],
+)
+def test_out_of_range_config_value_is_exit_2(tmp_path, line):
+    in_campaign = line.startswith("budget_cap")
+    body = f"""
+[campaign]
+qubits = 4
+{line if in_campaign else ""}
+[targets]
+use = garnet-aws
+[target:garnet-aws]
+{"" if in_campaign else line}
+"""
+    cfg = write_config(tmp_path / "c.ini", body)
+    store_path = tmp_path / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 2
+    assert "config error" in err
+    assert not store_path.exists()
 
 
 def test_inline_comments_are_stripped(tmp_path):
@@ -310,6 +342,16 @@ def test_corrupt_store_is_exit_3(tmp_path):
     code, _, err = run_cli("--store", str(store_path), "jobs", "poll")
     assert code == 3
     assert "store error" in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))
+def test_malformed_store_line_is_exit_3(tmp_path, case):
+    store_path = write_malformed_store(tmp_path / "bad.jsonl", case)
+    code, _, err = run_cli(
+        "--store", str(store_path), "report", "table6", "--out", str(tmp_path / "t6.csv")
+    )
+    assert code == 3
+    assert f"store error: {store_path}:3: " in err
 
 
 def test_unknown_report_kind_is_a_usage_error(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from qbench.circuit import build_benchmark, random_input
 from qbench.costing import CreditBilling, Money, credit_charge
@@ -98,6 +100,54 @@ def test_daily_window_validation(start, end):
 def test_recurring_outage_rejects_nonpositive(period, outage_len):
     with pytest.raises(ValueError):
         RecurringOutageSchedule(period=period, outage_start=0, outage_len=outage_len)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DailyWindowSchedule(start=1, end=0, outside=AVAILABLE),
+        lambda: RecurringOutageSchedule(10, outage_start=2, outage_len=3, outage_status=AVAILABLE),
+        lambda: RecurringOutageSchedule(H, outage_start=0, outage_len=H, outage_status=ACCEPT_HOLD),
+    ],
+    ids=["window-outside-available", "outage-available", "outage-whole-period"],
+)
+def test_schedule_rejects_outages_that_are_available_or_never_end(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+STATUSES = st.one_of(
+    st.sampled_from([AVAILABLE, UNAVAILABLE, ACCEPT_HOLD]),
+    st.builds(reduced_capacity, st.integers(1, 60)),
+)
+
+
+@st.composite
+def schedules(draw):
+    kind = draw(st.sampled_from(["always", "window", "outage"]))
+    status = draw(STATUSES)
+    try:
+        if kind == "always":
+            return AlwaysSchedule(status)
+        if kind == "window":
+            start, end = draw(st.integers(0, DAY - 1)), draw(st.integers(0, DAY - 1))
+            return DailyWindowSchedule(start=start, end=end, outside=status)
+        period = draw(st.integers(1, 3 * DAY))
+        start = draw(st.integers(0, period - 1))
+        length = draw(st.integers(1, period - start))
+        return RecurringOutageSchedule(period, start, length, outage_status=status)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=500, deadline=None)
+@given(schedules(), st.integers(0, 10 * DAY))
+def test_next_available_is_the_first_available_instant(schedule, clock):
+    nxt = schedule.next_available_at(clock)
+    available = schedule.status_at(clock).state is TargetState.AVAILABLE
+    assert nxt is None or nxt >= clock
+    assert nxt is None or schedule.status_at(nxt).state is TargetState.AVAILABLE
+    assert not available or nxt == clock
 
 
 def test_target_status_validation():

@@ -318,3 +318,61 @@ def test_empty_store(tmp_path):
     assert len(store) == 0
     assert store.query() == []
     assert store.export_csv(tmp_path / "empty.csv") == 0
+
+
+def _bump_one_count(obj):
+    key = next(iter(obj["counts"]))
+    obj["counts"][key] += 1
+
+
+# hand edits of a valid processed record line, each one that append refuses
+MALFORMED_EDITS = {
+    "qubits-as-text": lambda obj: obj.update(qubits=str(obj["qubits"])),
+    "float-cost": lambda obj: obj.update(cost=1.5),
+    "processed-without-results": lambda obj: obj.update(counts=None, fidelity=None, success=None),
+    "counts-miss-shots": _bump_one_count,
+    "census-total-off-by-one": lambda obj: obj["census"].update(total=obj["census"]["total"] + 1),
+    "null-job-id": lambda obj: obj.update(job_id=None),
+    "missing-key": lambda obj: obj.pop("seed"),
+}
+
+
+def write_malformed_store(path, case):
+    """Two good records, then the edited one on line 3."""
+    store = JobStore(path)
+    store.append(make_record(0))
+    store.append(processed_record(1))
+    obj = processed_record(2).to_dict()
+    MALFORMED_EDITS[case](obj)
+    with open(path, "a") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))
+def test_malformed_line_names_path_and_line(tmp_path, case):
+    path = write_malformed_store(tmp_path / "log.jsonl", case)
+    with pytest.raises(StoreError, match=f"^{path}:3: "):
+        JobStore(path)
+
+
+@pytest.mark.parametrize(
+    "value, ok",
+    [(3, True), (3.0, True), (True, False), ("3", False)],
+    ids=["int", "float", "bool", "text"],
+)
+def test_float_field_takes_an_int_but_not_a_bool(tmp_path, value, ok):
+    obj = processed_record(0).to_dict()
+    obj["actual_wait"] = value
+    if ok:
+        assert JobRecord.from_dict(obj).actual_wait == value
+    else:
+        with pytest.raises(StoreError, match="actual_wait"):
+            JobRecord.from_dict(obj)
+
+
+def test_int_field_refuses_a_bool():
+    obj = make_record(0).to_dict()
+    obj["submitted_at"] = True
+    with pytest.raises(StoreError, match="submitted_at"):
+        JobRecord.from_dict(obj)
