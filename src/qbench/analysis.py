@@ -15,7 +15,6 @@ fidelity follows from an n_2q-th root.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Iterable, Mapping
 from .circuit import ideal_output
 from .costing import Money
 from .providers import JobStatus
-from .store import SUCCESS_THRESHOLD, JobRecord
+from .store import SUCCESS_THRESHOLD, JobRecord, csv_line
 
 
 def hellinger_fidelity(
@@ -257,7 +256,6 @@ def write_report(kind: str, records: list[JobRecord], out_path: str) -> int:
         raise ValueError(f"unknown report kind {kind!r}")
     header, rows = _REPORTS[kind](records)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(csv_line(header))
+        fh.writelines(map(csv_line, rows))
     return len(rows)

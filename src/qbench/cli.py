@@ -131,6 +131,9 @@ def load_config(path: str) -> CampaignConfig:
         use = [p.strip() for p in parser["targets"].get("use", "").split(",") if p.strip()]
         if not use:
             raise ConfigError("[targets] use = must list at least one preset")
+        twice = sorted({name for name in use if use.count(name) > 1})
+        if twice:
+            raise ConfigError(f"[targets] use = lists {', '.join(twice)} more than once")
         targets = []
         for name in use:
             if name not in PRESET_NAMES:

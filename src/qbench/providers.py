@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -200,6 +201,12 @@ Schedule = AlwaysSchedule | DailyWindowSchedule | RecurringOutageSchedule
 
 # --- queue model ---------------------------------------------------------------
 
+# numpy's standard_normal returns no |z| above about 13.7 (its ziggurat tail
+# draws from 53-bit uniforms), and P(|z| > 14) is about 1e-44 for any normal
+# source, so bounding the exponent mu + sigma * z at z = 14 keeps waits finite
+_MAX_NORMAL = 14.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class QueueModel:
@@ -214,6 +221,13 @@ class QueueModel:
             raise ValueError("queue mu, sigma and predictor_bias must be finite")
         if self.sigma < 0 or self.predictor_bias < 0:
             raise ValueError("queue sigma and predictor_bias must be >= 0")
+        if self.mu + _MAX_NORMAL * self.sigma > _LOG_FLOAT_MAX or not math.isfinite(
+            self.predicted_wait()
+        ):
+            raise ValueError(
+                f"queue mu + {_MAX_NORMAL:g} * sigma must be <= {_LOG_FLOAT_MAX:.2f}"
+                " and the predicted wait finite, or a wait overflows a float"
+            )
 
     def draw_wait(self, rng: np.random.Generator) -> float:
         return float(math.exp(self.mu + self.sigma * rng.standard_normal()))

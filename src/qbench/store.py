@@ -2,11 +2,11 @@
 
 One record per line, canonical key order, lower_snake_case field names.  The
 format is deliberately dumb: a torn final write (process killed mid-append)
-loses at most that one line, and opening the store repairs the tail by
-truncating the incomplete line before appending anything new.  An offset
-index keyed by job_id is rebuilt on every open and kept in memory only;
-campaign-scale stores (thousands of lines) scan in milliseconds, so there is
-nothing to be gained from persisting it.
+loses at most that one line.  Opening the store streams the file one line at
+a time, so it never holds the file or a list of its lines; a final line
+without its newline is truncated away before anything new is appended.  The
+records are kept in append order, and an index from job_id to list position
+is rebuilt on every open and kept in memory only.
 
 ``JobRecord``'s annotations are the format: each field is stored under its
 name as its declared type, except the three types ``_STORED_AS`` maps to JSON
@@ -18,12 +18,13 @@ from the campaign epoch.  Query supports equality on any field and
 range operators via ``field__ge / __gt / __le / __lt`` suffixes; a filter
 value may be given as the field's type (``Money``, ``JobStatus``) or in its
 stored form (micro-USD, status text).  Results are ordered by (submitted_at,
-job_id) so equal filters always produce identical bytes on export.
+job_id) so equal filters always produce identical bytes on export.  CSV rows
+(export and reports) go through ``csv_line``, which writes the bytes of
+``csv.writer``'s default dialect.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -152,6 +153,31 @@ def _flat(value: Any) -> Any:
     return value if codec is None else codec[1](value)
 
 
+# the one JSON encoding of the store: record lines, and counts and census cells in CSV
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _export_cell(value: Any) -> Any:
+    value = _flat(value)
+    return _json_text(value) if type(value) is dict else value
+
+
+def csv_line(fields: Iterable[Any]) -> str:
+    """One CSV row, byte for byte as ``csv.writer`` writes it in its default dialect.
+
+    A cell is ``str`` of its value (None is empty).  It is quoted only when it
+    holds a quote, comma, CR or LF, with its quotes doubled.  Rows end in CRLF,
+    and a row of one empty cell is written ``""`` so it does not read as blank.
+    """
+    cells = ["" if f is None else str(f) for f in fields]
+    for i, cell in enumerate(cells):
+        if '"' in cell or "," in cell or "\r" in cell or "\n" in cell:
+            cells[i] = '"' + cell.replace('"', '""') + '"'
+    if cells == [""]:
+        return '""\r\n'
+    return ",".join(cells) + "\r\n"
+
+
 def _codec(typ: Any, optional: bool):
     """(the JSON types a stored value may have, its check-and-decode or None)."""
     json_type, _, decode = _STORED_AS.get(typ, (typ, None, None))
@@ -210,26 +236,28 @@ class JobStore:
         if not self.path.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.touch()
-        raw = self.path.read_bytes()
-        keep = len(raw)
-        if raw and not raw.endswith(b"\n"):
-            # torn final append: drop the partial line, then repair the file
-            keep = raw.rfind(b"\n") + 1
-            with open(self.path, "r+b") as fh:
-                fh.truncate(keep)
-        for lineno, line in enumerate(raw[:keep].splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = JobRecord.from_dict(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise StoreError(f"{self.path}:{lineno}: corrupt record line") from exc
-            except StoreError as exc:
-                raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
-            if record.job_id in self._index:
-                raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
-            self._index[record.job_id] = len(self._records)
-            self._records.append(record)
+        with open(self.path, "rb") as fh:  # read-only, so an archived store still opens
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    # torn final append: cut the file back to where the partial line starts
+                    os.truncate(self.path, fh.tell() - len(line))
+                    break
+                if line.strip():
+                    self._load(line, lineno)
+
+    def _load(self, line: bytes, lineno: int) -> None:
+        try:
+            record = JobRecord.from_dict(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise StoreError(f"{self.path}:{lineno}: corrupt record line") from exc
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{self.path}:{lineno}: record line is not UTF-8") from exc
+        except StoreError as exc:
+            raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
+        if record.job_id in self._index:
+            raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
+        self._index[record.job_id] = len(self._records)
+        self._records.append(record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -248,7 +276,7 @@ class JobStore:
         with self._lock:
             if record.job_id in self._index:
                 raise StoreError(f"duplicate job_id {record.job_id}")
-            line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
+            line = _json_text(record.to_dict())
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write(line + "\n")
                 fh.flush()
@@ -280,18 +308,8 @@ class JobStore:
                 raise StoreError(f"unknown export column {c!r}")
         rows = self.query(**filters)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for r in rows:
-                out = []
-                for c in cols:
-                    v = _flat(getattr(r, c))
-                    if isinstance(v, dict):
-                        v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-                    elif v is None:
-                        v = ""
-                    out.append(v)
-                writer.writerow(out)
+            fh.write(csv_line(cols))
+            fh.writelines(csv_line([_export_cell(getattr(r, c)) for c in cols]) for r in rows)
         return len(rows)
 
 

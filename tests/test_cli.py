@@ -99,6 +99,9 @@ def test_load_config_rejects_bad_input(tmp_path):
         "queue_sigma = -0.5",
         "queue_mu = nan",
         "queue_sigma = inf",
+        "queue_mu = 800",
+        "queue_sigma = 60",
+        "queue_bias = 1e308",
     ],
 )
 def test_out_of_range_config_value_is_exit_2(tmp_path, line):
@@ -117,6 +120,16 @@ use = garnet-aws
     code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
     assert code == 2
     assert "config error" in err
+    assert not store_path.exists()
+
+
+def test_target_listed_twice_is_exit_2(tmp_path):
+    body = "[campaign]\nqubits = 4\n[targets]\nuse = garnet-aws, aria1-emulator, garnet-aws\n"
+    cfg = write_config(tmp_path / "c.ini", body)
+    store_path = tmp_path / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 2
+    assert "use = lists garnet-aws more than once" in err
     assert not store_path.exists()
 
 
@@ -342,6 +355,14 @@ def test_corrupt_store_is_exit_3(tmp_path):
     code, _, err = run_cli("--store", str(store_path), "jobs", "poll")
     assert code == 3
     assert "store error" in err
+
+
+def test_store_line_that_is_not_utf8_is_exit_3(tmp_path):
+    store_path = tmp_path / "run.jsonl"
+    store_path.write_bytes(b'{"job_id":"\xff"}\n')
+    code, _, err = run_cli("--store", str(store_path), "jobs", "poll")
+    assert code == 3
+    assert f"store error: {store_path}:1: record line is not UTF-8" in err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))

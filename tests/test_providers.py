@@ -170,6 +170,29 @@ def _overestimate_fraction(model, samples=10_000, seed=5):
     return over / samples
 
 
+@pytest.mark.parametrize(
+    "mu, sigma, bias",
+    [
+        (800.0, 0.0, 1.0),
+        (709.8, 0.0, 1.0),
+        (600.0, 8.0, 1.0),
+        (0.0, 51.0, 1.0),
+        (700.0, 0.0, 1e10),
+    ],
+)
+def test_queue_whose_wait_can_overflow_is_refused(mu, sigma, bias):
+    with pytest.raises(ValueError, match="overflows a float"):
+        QueueModel(mu=mu, sigma=sigma, predictor_bias=bias)
+
+
+@pytest.mark.parametrize("mu, sigma", [(709.7, 0.0), (600.0, 7.8), (-5000.0, 400.0)])
+def test_queue_at_the_overflow_bound_draws_finite_waits(mu, sigma):
+    queue = QueueModel(mu=mu, sigma=sigma)
+    rng = np.random.default_rng(3)
+    assert all(math.isfinite(queue.draw_wait(rng)) for _ in range(1000))
+    assert math.isfinite(queue.predicted_wait())
+
+
 def test_unbiased_predictor_overestimates_half_the_time():
     frac = _overestimate_fraction(QueueModel(mu=math.log(300.0), sigma=1.0))
     assert abs(frac - 0.5) < 0.025  # 5 sigma at 10k samples

@@ -130,6 +130,26 @@ def test_corrupt_complete_line_is_an_error(tmp_path):
     assert ":2:" in str(err.value)
 
 
+def test_line_that_is_not_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    JobStore(path).append(make_record(0))
+    with open(path, "ab") as fh:
+        fh.write(b'{"job_id":"\xff"}\n')
+    with pytest.raises(StoreError, match=f"^{path}:2: record line is not UTF-8$"):
+        JobStore(path)
+
+
+def test_failed_open_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "log.jsonl"
+    JobStore(path).append(make_record(0))
+    with open(path, "ab") as fh:
+        fh.write(b"this is not json\n" + b'{"job_id": "job-9999", "cloud": "SimA')
+    before = path.read_bytes()
+    with pytest.raises(StoreError, match=":2: corrupt record line"):
+        JobStore(path)
+    assert path.read_bytes() == before
+
+
 def test_append_validates(tmp_path):
     store = JobStore(tmp_path / "log.jsonl")
     bad = [
