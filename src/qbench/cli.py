@@ -9,6 +9,7 @@ Subcommands
 Exit codes: 0 success, 2 configuration problem, 3 store problem, 4 empty
 report.  The store path resolves as --store flag, then the config file's
 ``store`` key (campaign only), then $QBENCH_STORE, then ./qbench_jobs.jsonl.
+Only ``campaign run`` creates a missing store; the read-only commands exit 3.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .providers import (
 )
 from .rng import derive_seed
 from .simulator import GlobalDepolarizing
-from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, default_store_path
+from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, _IdStore, default_store_path
 
 DEFAULT_SEED = 20240917
 SUBMIT_SPACING = 300  # seconds between consecutive submissions in a sweep
@@ -206,7 +207,13 @@ def record_from_poll(
 
 
 def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
-    store = JobStore(store_path)
+    """Submit, poll, bill and store every job of ``cfg``; returns the run summary.
+
+    Each job's handle and record are dropped once its line is written: the
+    store keeps job ids and each provider the execution spans, so memory
+    stays flat however many days the campaign runs.
+    """
+    store = _IdStore(store_path)
     providers = {p.name: SimProvider(p) for p in cfg.targets}
     spent = {p.name: Money(0) for p in cfg.targets}
     tally: Counter[tuple[str, str | None]] = Counter()  # (target, status); None: budget skip
@@ -315,6 +322,14 @@ def _resolve_store(flag: str | None, config_value: str | None = None) -> str:
     return str(default_store_path())
 
 
+def _open_store(flag: str | None) -> JobStore:
+    """The store a read-only command reads; a missing one is an error, never created."""
+    path = _resolve_store(flag)
+    if not os.path.isfile(path):
+        raise StoreError(f"no store file at {path}")
+    return JobStore(path)
+
+
 def cmd_campaign_run(args) -> int:
     cfg = load_config(args.config)
     store_path = _resolve_store(args.store, cfg.store)
@@ -327,7 +342,7 @@ def cmd_campaign_run(args) -> int:
 
 
 def cmd_jobs_poll(args) -> int:
-    store = JobStore(_resolve_store(args.store))
+    store = _open_store(args.store)
     counts = Counter((r.target, r.status.value) for r in store.records())
     summary = {
         "command": "jobs poll",
@@ -345,8 +360,8 @@ def cmd_jobs_poll(args) -> int:
 
 
 def cmd_report(args) -> int:
-    store = JobStore(_resolve_store(args.store))
-    records = store.query(**_parse_filters(args.filter))
+    filters = _parse_filters(args.filter)
+    records = _open_store(args.store).query(**filters)
     rows = write_report(args.kind, records, args.out)
     if rows == 0:
         print(f"report {args.kind}: no matching rows", file=sys.stderr)
@@ -357,9 +372,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_store_export(args) -> int:
-    store = JobStore(_resolve_store(args.store))
     columns = [c.strip() for c in args.columns.split(",")] if args.columns else None
-    rows = store.export_csv(args.out, columns=columns, **_parse_filters(args.filter))
+    filters = _parse_filters(args.filter)
+    rows = _open_store(args.store).export_csv(args.out, columns=columns, **filters)
     if rows == 0:
         print("store export: no matching rows", file=sys.stderr)
         return 4

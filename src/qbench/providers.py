@@ -267,7 +267,7 @@ class TargetProfile:
 
 @dataclass
 class JobHandle:
-    """Mutable lifecycle record held by the provider; not persisted directly.
+    """Mutable lifecycle record of one job, held by its caller; not persisted directly.
 
     ``census`` is the lowered census, set once the width is accepted.
     ``circuit`` is the source circuit, kept once the gate limit accepts it.
@@ -305,7 +305,11 @@ class SimProvider:
     def __init__(self, target: TargetProfile):
         self.target = target
         self._lock = threading.Lock()
-        self._handles: dict[str, JobHandle] = {}
+        # job id -> (exec_start, exec_end) of every job submitted here, or None
+        # once the job no longer counts toward queue positions: refused at
+        # submission, never runnable, failed in execution, or canceled.  Only
+        # the spans are kept, so a handle lives as long as its caller holds it.
+        self._spans: dict[str, tuple[int, int] | None] = {}
         self._counter = 0
 
     def target_status(self, clock: int) -> TargetStatus:
@@ -322,11 +326,12 @@ class SimProvider:
         with self._lock:
             if job_id is None:
                 job_id = f"{self.target.name}-{self._counter:06d}"
-            if job_id in self._handles:
+            if job_id in self._spans:
                 raise ValueError(f"duplicate job id {job_id}")
             self._counter += 1
             handle = self._build_handle(circuit, shots, clock, seed, job_id)
-            self._handles[job_id] = handle
+            span = None if handle.exec_end is None else (handle.exec_start, handle.exec_end)
+            self._spans[job_id] = span
             return handle
 
     def _build_handle(
@@ -399,6 +404,7 @@ class SimProvider:
                     handle.status = JobStatus.ERROR
                     handle.error_message = f"execution failed: {exc}"
                     status = JobStatus.ERROR
+                    self._spans[handle.job_id] = None
             handle.status = status if handle.status is JobStatus.SUBMITTED else handle.status
             position = None
             if self.target.exposes_queue_position and status is JobStatus.SUBMITTED:
@@ -426,16 +432,10 @@ class SimProvider:
         return JobStatus.SUBMITTED
 
     def _queue_position(self, handle: JobHandle, clock: int) -> int:
+        """1 + the live jobs that start before this one and have not ended by ``clock``."""
         mine = handle.exec_start if handle.exec_start is not None else math.inf
-        ahead = 0
-        for other in self._handles.values():
-            if other.job_id == handle.job_id or other.exec_end is None:
-                continue
-            if other.status in (JobStatus.ERROR, JobStatus.UNAVAILABLE, JobStatus.CANCELED):
-                continue
-            if other.exec_end > clock and (other.exec_start or 0) < mine:
-                ahead += 1
-        return ahead + 1
+        spans = filter(None, self._spans.values())
+        return 1 + sum(1 for start, end in spans if end > clock and start < mine)
 
     def cancel(self, handle: JobHandle, clock: int) -> JobStatus:
         """Cancel if execution has not begun; otherwise report the real status."""
@@ -445,6 +445,7 @@ class SimProvider:
                 return status
             if handle.exec_start is None or clock < handle.exec_start:
                 handle.status = JobStatus.CANCELED
+                self._spans[handle.job_id] = None
                 return JobStatus.CANCELED
             return JobStatus.SUBMITTED  # already running; too late to cancel
 

@@ -6,7 +6,8 @@ loses at most that one line.  Opening the store streams the file one line at
 a time, so it never holds the file or a list of its lines; a final line
 without its newline is truncated away before anything new is appended.  The
 records are kept in append order, and an index from job_id to list position
-is rebuilt on every open and kept in memory only.
+is rebuilt on every open and kept in memory only.  A campaign writes through
+``_IdStore``, which keeps the ids and drops the records.
 
 ``JobRecord``'s annotations are the format: each field is stored under its
 name as its declared type, except the three types ``_STORED_AS`` maps to JSON
@@ -229,7 +230,7 @@ class JobStore:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: list[JobRecord] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[str, int | None] = {}  # job_id -> position in _records, or None
         self._open()
 
     def _open(self) -> None:
@@ -256,11 +257,15 @@ class JobStore:
             raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
         if record.job_id in self._index:
             raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
+        self._keep(record)
+
+    def _keep(self, record: JobRecord) -> None:
+        """Hold a record just read or appended; its job_id was checked to be new."""
         self._index[record.job_id] = len(self._records)
         self._records.append(record)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._index)
 
     def __contains__(self, job_id: str) -> bool:
         return job_id in self._index
@@ -280,8 +285,7 @@ class JobStore:
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write(line + "\n")
                 fh.flush()
-            self._index[record.job_id] = len(self._records)
-            self._records.append(record)
+            self._keep(record)
 
     def records(self) -> Iterator[JobRecord]:
         """All records in append order."""
@@ -311,6 +315,19 @@ class JobStore:
             fh.write(csv_line(cols))
             fh.writelines(csv_line([_export_cell(getattr(r, c)) for c in cols]) for r in rows)
         return len(rows)
+
+
+class _IdStore(JobStore):
+    """A ``JobStore`` that keeps the job ids of its records, not the records.
+
+    It opens, checks and appends exactly as ``JobStore`` does, so a writer
+    gets the same bytes and the same ``path:line`` errors, and ``len`` and
+    ``in`` answer as usual; but its memory grows by one id per record, not
+    by the record.  It holds no records to get, list, query or export.
+    """
+
+    def _keep(self, record: JobRecord) -> None:
+        self._index[record.job_id] = None  # the id is taken; no record is held
 
 
 def default_store_path() -> Path:

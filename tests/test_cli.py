@@ -400,3 +400,41 @@ def test_json_campaign_with_default_store(tmp_path, monkeypatch):
     summary = json.loads(out)
     assert summary["store"] == "qbench_jobs.jsonl"
     assert len(JobStore(tmp_path / "qbench_jobs.jsonl")) == summary["jobs"] == 4
+
+
+READ_ONLY_COMMANDS = {
+    "report": ("report", "table6", "--out"),
+    "store-export": ("store", "export", "--out"),
+    "jobs-poll": ("jobs", "poll"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_ONLY_COMMANDS))
+def test_read_only_command_on_a_missing_store_is_exit_3_and_creates_nothing(tmp_path, command):
+    store_path = tmp_path / "newdir" / "sub" / "typo.jsonl"
+    args = READ_ONLY_COMMANDS[command]
+    if args[-1] == "--out":
+        args = (*args, str(tmp_path / "out.csv"))
+    code, _, err = run_cli("--store", str(store_path), *args)
+    assert code == 3
+    assert f"store error: no store file at {store_path}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_campaign_run_creates_a_missing_store(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    store_path = tmp_path / "newdir" / "sub" / "run.jsonl"
+    code, _, _ = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 0
+    assert len(JobStore(store_path)) == 4
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))
+def test_campaign_run_on_a_malformed_store_is_exit_3_and_appends_nothing(tmp_path, case):
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    store_path = write_malformed_store(tmp_path / "bad.jsonl", case)
+    before = store_path.read_bytes()
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 3
+    assert f"store error: {store_path}:3: " in err
+    assert store_path.read_bytes() == before

@@ -345,6 +345,14 @@ def _bump_one_count(obj):
     obj["counts"][key] += 1
 
 
+def _retype_one_count(to):
+    def edit(obj):
+        key = next(iter(obj["counts"]))
+        obj["counts"][key] = to(obj["counts"][key])
+
+    return edit
+
+
 # hand edits of a valid processed record line, each one that append refuses
 MALFORMED_EDITS = {
     "qubits-as-text": lambda obj: obj.update(qubits=str(obj["qubits"])),
@@ -354,6 +362,10 @@ MALFORMED_EDITS = {
     "census-total-off-by-one": lambda obj: obj["census"].update(total=obj["census"]["total"] + 1),
     "null-job-id": lambda obj: obj.update(job_id=None),
     "missing-key": lambda obj: obj.pop("seed"),
+    "unknown-status": lambda obj: obj.update(status="finished"),
+    "count-as-float": _retype_one_count(float),
+    "count-as-bool": _retype_one_count(bool),
+    "census-extra-key": lambda obj: obj["census"].update(n_3q=0),
 }
 
 
