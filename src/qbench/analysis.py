@@ -1,9 +1,10 @@
 """Fidelity scoring, error-rate inference, and campaign aggregation.
 
 Distribution closeness uses the Hellinger-affinity fidelity
-F = (sum_x sqrt(p(x) q(x)))**2 over the union of supports, with both counts
-maps normalized first.  A run counts as a success when F >= 1/e; the
-boundary is inclusive.  For benchmark circuits the reference distribution is
+F = (sum_x sqrt(p(x) q(x)))**2, with both counts maps normalized first.  A
+key outside either support adds nothing, so the sum runs over the shared
+support.  A run counts as a success when F >= 1/e; the boundary is
+inclusive.  For benchmark circuits the reference distribution is
 the analytic delta on the expected output, so scoring works at any width.
 
 The zero-order device model predicts observed fidelity
@@ -36,8 +37,9 @@ def hellinger_fidelity(
     if pt <= 0 or qt <= 0:
         raise ValueError("distributions must have positive mass")
     bc = 0.0
-    for key in p.keys() | q.keys():
-        bc += math.sqrt((p.get(key, 0) / pt) * (q.get(key, 0) / qt))
+    # a key outside either support adds exactly 0.0, so only shared keys are summed
+    for key in p.keys() & q.keys():
+        bc += math.sqrt((p[key] / pt) * (q[key] / qt))
     return bc * bc
 
 

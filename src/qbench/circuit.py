@@ -121,6 +121,15 @@ class Circuit:
             raise ValueError(f"gate {bad} out of range for width {self.width}")
 
 
+def _in_range(width: int, gates: tuple[Gate, ...], metadata: dict[str, Any]) -> Circuit:
+    """A ``Circuit`` built without the range check, for gates in range by construction."""
+    circuit = object.__new__(Circuit)
+    object.__setattr__(circuit, "width", width)
+    object.__setattr__(circuit, "gates", gates)
+    object.__setattr__(circuit, "metadata", metadata)
+    return circuit
+
+
 def census(circuit: Circuit) -> GateCensus:
     gates = circuit.gates
     # Gate admits one or two targets, so each gate past one target is two-qubit
@@ -171,11 +180,12 @@ def _x_prefix(q: int, n: int) -> tuple[Gate, ...]:
 def _benchmark_body(q: int) -> tuple[Gate, ...]:
     """Segments (b) to (d): they depend on q alone, so each width is built once.
 
-    Gates are frozen, so every benchmark of width q shares this one tuple.
+    Gates are frozen, so every benchmark of width q shares this one tuple.  It
+    is range-checked here, once, so ``build_benchmark`` need not re-check it.
     """
     ladder = _fourier_ladder(q)
     adder = [Gate(GateKind.P, (i,), 2 * math.pi * (1 << i) / (1 << q)) for i in range(q)]
-    return (*ladder, *adder, *inverse(ladder))
+    return Circuit(q, (*ladder, *adder, *inverse(ladder))).gates
 
 
 def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
@@ -192,7 +202,8 @@ def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
     meta: dict[str, Any] = {"benchmark": "fourier_adder", "q": q, "n": n}
     if seed is not None:
         meta["seed"] = seed
-    return Circuit(width=q, gates=prefix + _benchmark_body(q), metadata=meta)
+    # the prefix targets qubits below q and the body was checked when cached
+    return _in_range(q, prefix + _benchmark_body(q), meta)
 
 
 def benchmark_input(circuit: Circuit) -> int | None:

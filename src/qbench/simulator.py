@@ -83,6 +83,14 @@ def _apply(t: np.ndarray, width: int, mat: np.ndarray, targets: tuple[int, ...])
     return np.moveaxis(t, list(range(k)), axes)
 
 
+def _bitstrings(vals: np.ndarray, width: int) -> list[str]:
+    """``format(v, f"0{width}b")`` of each value, rendered in one numpy pass."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    bits = (np.asarray(vals, dtype=np.uint64)[:, None] >> shifts) & 1
+    text = (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    return [text[i : i + width] for i in range(0, len(text), width)]
+
+
 def run_statevector(circuit: Circuit) -> np.ndarray:
     """Apply all gates to |0...0>; returns the 2**width amplitude vector."""
     if circuit.width > MAX_WIDTH:
@@ -121,10 +129,8 @@ def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     hits = rng.multinomial(shots, probs)
-    out: dict[str, int] = {}
-    for v in np.flatnonzero(hits):
-        out[format(int(v), f"0{width}b")] = int(hits[v])
-    return out
+    seen = np.flatnonzero(hits)
+    return dict(zip(_bitstrings(seen, width), hits[seen].tolist()))
 
 
 # --- noise -------------------------------------------------------------------
@@ -168,10 +174,8 @@ def ideal_distribution(circuit: Circuit) -> dict[str, float]:
         return {ideal_output(circuit.width, n): 1.0}
     probs = np.abs(run_statevector(circuit)) ** 2
     probs = probs / probs.sum()
-    out: dict[str, float] = {}
-    for v in np.flatnonzero(probs > 1e-15):
-        out[format(int(v), f"0{circuit.width}b")] = float(probs[v])
-    return out
+    support = np.flatnonzero(probs > 1e-15)
+    return dict(zip(_bitstrings(support, circuit.width), probs[support].tolist()))
 
 
 def _sample_from_distribution(
@@ -182,11 +186,6 @@ def _sample_from_distribution(
     pvals = pvals / pvals.sum()
     hits = rng.multinomial(shots, pvals)
     return {k: int(c) for k, c in zip(keys, hits) if c}
-
-
-def _merge(dst: dict[str, int], src: dict[str, int]) -> None:
-    for k, v in src.items():
-        dst[k] = dst.get(k, 0) + v
 
 
 def run_noisy(
@@ -214,20 +213,16 @@ def sample_depolarized(
     p_clean = noise.f_2qg**n_2q
     ideal = ideal_distribution(circuit)
     clean = int(rng.binomial(shots, p_clean)) if shots else 0
+    clean_hits = _sample_from_distribution(ideal, clean, rng) if clean else {}
     counts: dict[str, int] = {}
-    if clean:
-        _merge(counts, _sample_from_distribution(ideal, clean, rng))
     scrambled = shots - clean
     if scrambled:
         draws = rng.integers(0, 1 << circuit.width, size=scrambled)
         vals, reps = np.unique(draws, return_counts=True)
-        _merge(
-            counts,
-            {
-                format(int(v), f"0{circuit.width}b"): int(c)
-                for v, c in zip(vals, reps)
-            },
-        )
+        counts = dict(zip(_bitstrings(vals, circuit.width), reps.tolist()))
+    # clean shots fall on the ideal support: one key for a benchmark
+    for key, c in clean_hits.items():
+        counts[key] = counts.get(key, 0) + c
     return dict(sorted(counts.items()))
 
 
@@ -237,8 +232,8 @@ def _run_trajectories(
     if circuit.width > MAX_WIDTH:
         raise ValueError(f"width {circuit.width} exceeds simulator cap {MAX_WIDTH}")
     width = circuit.width
-    counts: dict[str, int] = {}
-    for _ in range(shots):
+    outcomes = np.empty(shots, dtype=np.int64)
+    for shot in range(shots):
         state = np.zeros([2] * width, dtype=complex)
         state.flat[0] = 1.0
         for g in circuit.gates:
@@ -249,7 +244,6 @@ def _run_trajectories(
                 state = _apply(state, width, _PAULI_1Q[pb], g.targets[1:])
         probs = np.abs(state.reshape(-1)) ** 2
         probs = probs / probs.sum()
-        v = int(rng.choice(len(probs), p=probs))
-        key = format(v, f"0{width}b")
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
+        outcomes[shot] = rng.choice(len(probs), p=probs)
+    vals, reps = np.unique(outcomes, return_counts=True)
+    return dict(zip(_bitstrings(vals, width), reps.tolist()))

@@ -231,7 +231,10 @@ class JobStore:
         self._lock = threading.Lock()
         self._records: list[JobRecord] = []
         self._index: dict[str, int | None] = {}  # job_id -> position in _records, or None
-        self._open()
+        try:
+            self._open()
+        except OSError as exc:  # a directory, a parent that cannot be made, an unreadable file
+            raise StoreError(f"cannot open store {self.path}: {exc.strerror or exc}") from exc
 
     def _open(self) -> None:
         if not self.path.exists():

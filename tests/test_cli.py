@@ -438,3 +438,25 @@ def test_campaign_run_on_a_malformed_store_is_exit_3_and_appends_nothing(tmp_pat
     assert code == 3
     assert f"store error: {store_path}:3: " in err
     assert store_path.read_bytes() == before
+
+
+def test_campaign_run_on_a_directory_store_is_exit_3_and_creates_nothing(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    store_path = tmp_path / "dirstore"
+    store_path.mkdir()
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 3
+    assert f"store error: cannot open store {store_path}: " in err
+    assert list(store_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "dirstore"]
+
+
+def test_campaign_run_under_a_parent_that_cannot_be_made_is_exit_3_and_creates_nothing(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    store_path = tmp_path / "blocker" / "sub" / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 3
+    assert f"store error: cannot open store {store_path}: " in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "c.ini"]
+    assert (tmp_path / "blocker").read_text() == "a file, not a directory\n"
