@@ -51,7 +51,6 @@ class GateKind(str, Enum):
 ONE_QUBIT_KINDS = frozenset(
     {GateKind.X, GateKind.H, GateKind.P, GateKind.RZ, GateKind.RX, GateKind.RY}
 )
-TWO_QUBIT_KINDS = frozenset({GateKind.CP, GateKind.CX, GateKind.ZZ, GateKind.SWAP})
 PARAMETRIC_KINDS = frozenset(
     {GateKind.P, GateKind.RZ, GateKind.RX, GateKind.RY, GateKind.CP, GateKind.ZZ}
 )

@@ -78,6 +78,9 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
         values = tuple(int(p) for p in text.split(",") if p.strip())
     if not values or any(q < 2 or q > 60 for q in values):
         raise ConfigError(f"qubit sizes out of range in {text!r}")
+    twice = sorted({q for q in values if values.count(q) > 1})
+    if twice:
+        raise ConfigError(f"qubits = lists {', '.join(map(str, twice))} more than once")
     return values
 
 

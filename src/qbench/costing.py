@@ -45,12 +45,17 @@ class Money:
 
     @classmethod
     def from_usd(cls, amount: str | int | float | Decimal) -> "Money":
-        """Parse a USD amount; rejects anything finer than a micro-dollar."""
+        """Parse a USD amount; rejects anything not finite or finer than a micro-dollar."""
         try:
             dec = Decimal(str(amount))
         except InvalidOperation as exc:
             raise ValueError(f"unparseable amount {amount!r}") from exc
-        micros = dec * _MICROS_PER_USD
+        try:  # an sNaN, or an exponent past the decimal context, traps here
+            micros = dec * _MICROS_PER_USD
+        except ArithmeticError:
+            micros = Decimal("NaN")
+        if not micros.is_finite():
+            raise ValueError(f"{amount!r} is not finite")
         if micros != micros.to_integral_value():
             raise ValueError(f"{amount!r} is finer than micro-USD resolution")
         return cls(int(micros))

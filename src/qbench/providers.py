@@ -68,11 +68,6 @@ class JobStatus(str, Enum):
     UNAVAILABLE = "unavailable"
 
 
-TERMINAL_STATUSES = frozenset(
-    {JobStatus.PROCESSED, JobStatus.ERROR, JobStatus.CANCELED, JobStatus.UNAVAILABLE}
-)
-
-
 class TargetState(str, Enum):
     AVAILABLE = "available"
     DEGRADED = "degraded"
@@ -151,15 +146,10 @@ class DailyWindowSchedule:
     def status_at(self, clock: int) -> TargetStatus:
         return AVAILABLE if self._inside(clock) else self.outside
 
-    def next_available_at(self, clock: int) -> int | None:
+    def next_available_at(self, clock: int) -> int:
         if self._inside(clock):
             return clock
-        day0 = clock - clock % DAY
-        for d in (0, 1):
-            cand = day0 + d * DAY + self.start
-            if cand >= clock:
-                return cand
-        return None  # unreachable: a daily window always recurs
+        return clock + (self.start - clock) % DAY  # the next window start
 
 
 @dataclass(frozen=True)
@@ -309,11 +299,8 @@ class SimProvider:
         # once the job no longer counts toward queue positions: refused at
         # submission, never runnable, failed in execution, or canceled.  Only
         # the spans are kept, so a handle lives as long as its caller holds it.
+        # Every accepted submit adds one key, so its size numbers the auto ids.
         self._spans: dict[str, tuple[int, int] | None] = {}
-        self._counter = 0
-
-    def target_status(self, clock: int) -> TargetStatus:
-        return self.target.schedule.status_at(clock)
 
     # -- submission ------------------------------------------------------------
 
@@ -325,10 +312,9 @@ class SimProvider:
             raise ValueError("shots must be >= 1")
         with self._lock:
             if job_id is None:
-                job_id = f"{self.target.name}-{self._counter:06d}"
+                job_id = f"{self.target.name}-{len(self._spans):06d}"
             if job_id in self._spans:
                 raise ValueError(f"duplicate job id {job_id}")
-            self._counter += 1
             handle = self._build_handle(circuit, shots, clock, seed, job_id)
             span = None if handle.exec_end is None else (handle.exec_start, handle.exec_end)
             self._spans[job_id] = span
@@ -353,7 +339,7 @@ class SimProvider:
             return handle
         effective_width = t.qubits
         if status.degraded is DegradedKind.REDUCED_CAPACITY:
-            effective_width = min(effective_width, status.reduced_width or 0)
+            effective_width = min(effective_width, status.reduced_width)
         if circuit.width > effective_width:
             handle.status = JobStatus.ERROR
             handle.error_message = (
@@ -384,10 +370,7 @@ class SimProvider:
         status = self.target.schedule.status_at(clock)
         if status.state is TargetState.AVAILABLE:
             return clock
-        if (
-            status.degraded is DegradedKind.REDUCED_CAPACITY
-            and width <= (status.reduced_width or 0)
-        ):
+        if status.degraded is DegradedKind.REDUCED_CAPACITY and width <= status.reduced_width:
             return clock  # degraded but still running jobs of this width
         return self.target.schedule.next_available_at(clock)
 

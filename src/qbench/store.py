@@ -5,23 +5,24 @@ format is deliberately dumb: a torn final write (process killed mid-append)
 loses at most that one line.  Opening the store streams the file one line at
 a time, so it never holds the file or a list of its lines; a final line
 without its newline is truncated away before anything new is appended.  The
-records are kept in append order, and an index from job_id to list position
-is rebuilt on every open and kept in memory only.  A campaign writes through
-``_IdStore``, which keeps the ids and drops the records.
+records are kept in one map from job_id to record, in append order, rebuilt on
+every open.  A campaign writes through ``_IdStore``, which keeps the ids and
+drops the records.
 
 ``JobRecord``'s annotations are the format: each field is stored under its
 name as its declared type, except the three types ``_STORED_AS`` maps to JSON
 (a ``JobStatus`` as its text, ``Money`` as integer micro-USD under ``cost``, a
 ``GateCensus`` as ``{n_1q, n_2q, total}``).  Reads check every value against
-its declared type, then ``validate`` it, so a line that ``append`` would have
-refused fails the open with ``path:line``.  Timestamps are integer seconds
-from the campaign epoch.  Query supports equality on any field and
-range operators via ``field__ge / __gt / __le / __lt`` suffixes; a filter
-value may be given as the field's type (``Money``, ``JobStatus``) or in its
-stored form (micro-USD, status text).  Results are ordered by (submitted_at,
-job_id) so equal filters always produce identical bytes on export.  CSV rows
-(export and reports) go through ``csv_line``, which writes the bytes of
-``csv.writer``'s default dialect.
+its declared type, then ``validate`` it.  ``append`` decodes each record's
+stored form the same way and holds the decoded record, so it refuses what the
+open refuses (the open adds ``path:line``) and holds each field as its
+declared type.  Timestamps are integer seconds from the campaign epoch.  Query
+supports equality on any field and range operators via ``field__ge / __gt /
+__le / __lt`` suffixes; a filter value may be given as the field's type
+(``Money``, ``JobStatus``) or in its stored form (micro-USD, status text).
+Results are ordered by (submitted_at, job_id) so equal filters always produce
+identical bytes on export.  CSV rows (export and reports) go through
+``csv_line``, which writes the bytes of ``csv.writer``'s default dialect.
 """
 
 from __future__ import annotations
@@ -100,7 +101,11 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, obj: Any) -> "JobRecord":
-        """Decode a stored object; raises StoreError for anything ``append`` refuses."""
+        """Decode a stored object; raises StoreError for anything ``append`` refuses.
+
+        The one check of the format: the open runs it on every line read, and
+        ``append`` on every record's stored form before writing it.
+        """
         if type(obj) is not dict:
             raise StoreError("a record line must hold a JSON object")
         if obj.keys() != RECORD_FIELDS.keys():
@@ -229,8 +234,7 @@ class JobStore:
     def __init__(self, path: str | os.PathLike[str]):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._records: list[JobRecord] = []
-        self._index: dict[str, int | None] = {}  # job_id -> position in _records, or None
+        self._records: dict[str, JobRecord | None] = {}  # job_id -> record, in append order
         try:
             self._open()
         except OSError as exc:  # a directory, a parent that cannot be made, an unreadable file
@@ -258,46 +262,46 @@ class JobStore:
             raise StoreError(f"{self.path}:{lineno}: record line is not UTF-8") from exc
         except StoreError as exc:
             raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
-        if record.job_id in self._index:
+        if record.job_id in self._records:
             raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
         self._keep(record)
 
     def _keep(self, record: JobRecord) -> None:
         """Hold a record just read or appended; its job_id was checked to be new."""
-        self._index[record.job_id] = len(self._records)
-        self._records.append(record)
+        self._records[record.job_id] = record
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._records)
 
     def __contains__(self, job_id: str) -> bool:
-        return job_id in self._index
+        return job_id in self._records
 
     def get(self, job_id: str) -> JobRecord:
-        try:
-            return self._records[self._index[job_id]]
-        except KeyError:
-            raise StoreError(f"no record {job_id!r}") from None
+        record = self._records.get(job_id)
+        if record is None:
+            raise StoreError(f"no record {job_id!r}")
+        return record
 
     def append(self, record: JobRecord) -> None:
-        record.validate()
+        stored = record.to_dict()
+        record = JobRecord.from_dict(stored)  # refused, or decoded, as the open would
         with self._lock:
-            if record.job_id in self._index:
+            if record.job_id in self._records:
                 raise StoreError(f"duplicate job_id {record.job_id}")
-            line = _json_text(record.to_dict())
+            line = _json_text(stored)
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write(line + "\n")
                 fh.flush()
             self._keep(record)
 
     def records(self) -> Iterator[JobRecord]:
-        """All records in append order."""
-        return iter(list(self._records))
+        """All held records in append order."""
+        return iter(list(filter(None, self._records.values())))
 
     def query(self, **filters: Any) -> list[JobRecord]:
         """Equality / range filtering with stable (submitted_at, job_id) order."""
         tests = [_predicate(k, v) for k, v in filters.items()]
-        hits = [r for r in self._records if all(t(r) for t in tests)]
+        hits = [r for r in filter(None, self._records.values()) if all(t(r) for t in tests)]
         hits.sort(key=lambda r: (r.submitted_at, r.job_id))
         return hits
 
@@ -326,11 +330,12 @@ class _IdStore(JobStore):
     It opens, checks and appends exactly as ``JobStore`` does, so a writer
     gets the same bytes and the same ``path:line`` errors, and ``len`` and
     ``in`` answer as usual; but its memory grows by one id per record, not
-    by the record.  It holds no records to get, list, query or export.
+    by the record.  It holds no records: ``get`` raises ``StoreError``, and
+    it lists, queries and exports none.
     """
 
     def _keep(self, record: JobRecord) -> None:
-        self._index[record.job_id] = None  # the id is taken; no record is held
+        self._records[record.job_id] = None  # the id is taken; no record is held
 
 
 def default_store_path() -> Path:

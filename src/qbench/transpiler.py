@@ -104,9 +104,16 @@ def euler_zyz(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, phi, theta, lam
 
 
+@cache
+def _euler_angles(kind: GateKind, theta: float | None, negative: bool) -> tuple[float, ...]:
+    """``euler_zyz`` of a one-qubit gate; ``negative`` keeps -0.0 apart from 0.0."""
+    return euler_zyz(gate_matrix(Gate(kind, (0,), theta)))
+
+
 def _euler_triple(gate: Gate) -> tuple[list[Gate], float]:
     """Full ZYZ expansion of a one-qubit gate, zero angles included."""
-    alpha, phi, theta, lam = euler_zyz(gate_matrix(gate))
+    negative = gate.theta is not None and math.copysign(1.0, gate.theta) < 0
+    alpha, phi, theta, lam = _euler_angles(gate.kind, gate.theta, negative)
     (t,) = gate.targets
     return (
         [Gate(GateKind.RZ, (t,), lam), Gate(GateKind.RY, (t,), theta), Gate(GateKind.RZ, (t,), phi)],
@@ -264,20 +271,20 @@ def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
     return GateCensus(n_1q=n_1q, n_2q=n_2q)
 
 
-def verify_equivalence(a: Circuit, b: Circuit, *, seed: int = 20240917, inputs: int = 8) -> float:
+def verify_equivalence(a: Circuit, b: Circuit) -> float:
     """Minimum state overlap |<psi_a|psi_b>|^2 across probe inputs.
 
-    Probes are the all-zeros state plus ``inputs`` random product states
-    (seeded RY/RZ pair per qubit prepended to both circuits).  Insensitive to
-    global phase.  Capped at 10 qubits.
+    Probes are the all-zeros state plus 8 random product states (an RY/RZ
+    pair per qubit, seeded with 20240917, prepended to both circuits).
+    Insensitive to global phase.  Capped at 10 qubits.
     """
     if a.width != b.width:
         raise ValueError("circuits must have equal width")
     if a.width > 10:
         raise ValueError("equivalence check capped at 10 qubits")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240917)
     preps: list[list[Gate]] = [[]]
-    for _ in range(inputs):
+    for _ in range(8):
         prep: list[Gate] = []
         for qubit in range(a.width):
             prep.append(Gate(GateKind.RY, (qubit,), float(rng.uniform(0, math.pi))))

@@ -133,6 +133,26 @@ def test_target_listed_twice_is_exit_2(tmp_path):
     assert not store_path.exists()
 
 
+def test_qubit_size_listed_twice_is_exit_2(tmp_path):
+    body = "[campaign]\nqubits = 8,6,8\n[targets]\nuse = garnet-aws\n"
+    cfg = write_config(tmp_path / "c.ini", body)
+    store_path = tmp_path / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 2
+    assert "qubits = lists 8 more than once" in err
+    assert not store_path.exists()
+
+
+def test_budget_cap_that_is_not_finite_is_exit_2(tmp_path):
+    body = "[campaign]\nqubits = 4\nbudget_cap = sNaN\n[targets]\nuse = garnet-aws\n"
+    cfg = write_config(tmp_path / "c.ini", body)
+    store_path = tmp_path / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 2
+    assert "'sNaN' is not finite" in err
+    assert not store_path.exists()
+
+
 def test_inline_comments_are_stripped(tmp_path):
     body = """
 [campaign]
@@ -311,6 +331,16 @@ def test_filter_value_of_the_wrong_type_is_exit_2(typed_store, tmp_path, bad):
     code, _, err = _export_ids(typed_store, tmp_path, bad)
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("bad", ["cost__gt=inf", "cost=sNaN", "cost=1e999999999", "cost__lt=nan"])
+def test_filter_cost_that_is_not_finite_is_exit_2(typed_store, tmp_path, bad):
+    out = tmp_path / "t.csv"
+    args = ["--store", str(typed_store), "report", "table6", "--out", str(out), "--filter", bad]
+    code, _, err = run_cli(*args)
+    assert code == 2
+    assert "is not finite" in err
+    assert not out.exists()
 
 
 def test_filter_on_unknown_field_is_a_store_error(typed_store, tmp_path):

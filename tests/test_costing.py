@@ -42,6 +42,11 @@ class TestMoney:
         with pytest.raises(ValueError):
             Money.from_usd("not money")
 
+    @pytest.mark.parametrize("amount", ["inf", "-Infinity", "nan", "sNaN", "1e999999999"])
+    def test_from_usd_rejects_amounts_that_are_not_finite(self, amount):
+        with pytest.raises(ValueError, match="is not finite"):
+            Money.from_usd(amount)
+
     def test_arithmetic_and_ordering(self):
         a, b = Money(1_500_000), Money(250_000)
         assert a + b == Money(1_750_000)

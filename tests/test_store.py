@@ -169,6 +169,47 @@ def test_append_validates(tmp_path):
     assert len(store) == 0
 
 
+# records whose stored form the open refuses, though each passes its own validate()
+APPEND_REFUSES = {
+    "bool-predicted-wait": make_record(0, predicted_wait=True),
+    "int-cloud": make_record(0, cloud=5),
+    "float-cost": make_record(0, cost=Money(1.5)),
+    "float-census": make_record(0, census=GateCensus(1.0, 2.0)),
+    "bool-count": processed_record(0, shots=1, counts={"0101": True}),
+    # validate() skips its unavailable check for a status held as text
+    "billed-unavailable-text": make_record(0, status="unavailable", cost=Money(5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(APPEND_REFUSES))
+def test_append_refuses_what_the_open_refuses(tmp_path, case):
+    record = APPEND_REFUSES[case]
+    path = tmp_path / "log.jsonl"
+    store = JobStore(path)
+    store.append(make_record(1))
+    before = path.read_bytes()
+    with pytest.raises(StoreError) as refused:
+        store.append(record)
+    assert path.read_bytes() == before
+    assert record.job_id not in store and len(JobStore(path)) == 1
+
+    # the same record written by hand fails the open with the same message
+    with open(path, "a") as fh:
+        fh.write(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(StoreError) as opened:
+        JobStore(path)
+    assert str(opened.value) == f"{path}:2: {refused.value}"
+
+
+def test_append_holds_the_record_a_reopen_reads(tmp_path):
+    path = tmp_path / "log.jsonl"
+    store = JobStore(path)
+    store.append(make_record(0, status="error", cost=5))  # stored forms, not the field types
+    held = store.get("job-0000")
+    assert held.status is JobStatus.ERROR and held.cost == Money(5)
+    assert JobStore(path).get("job-0000") == held
+
+
 def _random_fixture(count, seed=7):
     rng = random.Random(seed)
     records = []

@@ -50,10 +50,9 @@ class OracleStore(JobStore):
                 raise StoreError(f"{self.path}:{lineno}: corrupt record line") from exc
             except StoreError as exc:
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
-            if record.job_id in self._index:
+            if record.job_id in self:
                 raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
-            self._index[record.job_id] = len(self._records)
-            self._records.append(record)
+            self._keep(record)
 
 
 def oracle_export_csv(store, out_path, columns=None, **filters):
