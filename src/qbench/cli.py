@@ -216,23 +216,23 @@ def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
     store keeps job ids and each provider the execution spans, so memory
     stays flat however many days the campaign runs.
     """
-    store = _IdStore(store_path)
-    providers = {p.name: SimProvider(p) for p in cfg.targets}
-    spent = {p.name: Money(0) for p in cfg.targets}
-    tally: Counter[tuple[str, str | None]] = Counter()  # (target, status); None: budget skip
-    for clock, profile, q, seed, job_id in _jobs(cfg):
-        if cfg.budget_cap is not None and spent[profile.name] >= cfg.budget_cap:
-            tally[profile.name, None] += 1
-            continue
-        provider = providers[profile.name]
-        n = random_input(q, seed)
-        circuit = build_benchmark(q, n, seed=seed)
-        handle = provider.submit(circuit, cfg.shots, clock, seed=seed, job_id=job_id)
-        result = provider.poll(handle, clock if handle.exec_end is None else handle.exec_end)
-        cost = provider.job_cost(handle)
-        store.append(record_from_poll(handle, result, cost, q, n))
-        spent[profile.name] += cost
-        tally[profile.name, result.status.value] += 1
+    with _IdStore(store_path) as store:  # closed on every exit, exceptions included
+        providers = {p.name: SimProvider(p) for p in cfg.targets}
+        spent = {p.name: Money(0) for p in cfg.targets}
+        tally: Counter[tuple[str, str | None]] = Counter()  # (target, status); None: budget skip
+        for clock, profile, q, seed, job_id in _jobs(cfg):
+            if cfg.budget_cap is not None and spent[profile.name] >= cfg.budget_cap:
+                tally[profile.name, None] += 1
+                continue
+            provider = providers[profile.name]
+            n = random_input(q, seed)
+            circuit = build_benchmark(q, n, seed=seed)
+            handle = provider.submit(circuit, cfg.shots, clock, seed=seed, job_id=job_id)
+            result = provider.poll(handle, clock if handle.exec_end is None else handle.exec_end)
+            cost = provider.job_cost(handle)
+            store.append(record_from_poll(handle, result, cost, q, n))
+            spent[profile.name] += cost
+            tally[profile.name, result.status.value] += 1
     return _campaign_summary(store_path, tally, spent)
 
 

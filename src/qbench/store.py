@@ -7,22 +7,29 @@ a time, so it never holds the file or a list of its lines; a final line
 without its newline is truncated away before anything new is appended.  The
 records are kept in one map from job_id to record, in append order, rebuilt on
 every open.  A campaign writes through ``_IdStore``, which keeps the ids and
-drops the records.
+drops the records.  A store that appends holds its file open, in append mode,
+from its first ``append`` until ``close()`` or the end of its ``with`` block,
+and flushes each line as it writes it; a store that only reads never opens
+its file to write.
 
 ``JobRecord``'s annotations are the format: each field is stored under its
 name as its declared type, except the three types ``_STORED_AS`` maps to JSON
 (a ``JobStatus`` as its text, ``Money`` as integer micro-USD under ``cost``, a
-``GateCensus`` as ``{n_1q, n_2q, total}``).  Reads check every value against
-its declared type, then ``validate`` it.  ``append`` decodes each record's
-stored form the same way and holds the decoded record, so it refuses what the
-open refuses (the open adds ``path:line``) and holds each field as its
-declared type.  Timestamps are integer seconds from the campaign epoch.  Query
-supports equality on any field and range operators via ``field__ge / __gt /
-__le / __lt`` suffixes; a filter value may be given as the field's type
-(``Money``, ``JobStatus``) or in its stored form (micro-USD, status text).
-Results are ordered by (submitted_at, job_id) so equal filters always produce
-identical bytes on export.  CSV rows (export and reports) go through
-``csv_line``, which writes the bytes of ``csv.writer``'s default dialect.
+``GateCensus`` as ``{n_1q, n_2q, total}``).  The codec is generated once, at
+import, from the annotations and ``_STORED_AS``: ``to_dict`` is one dict
+display and ``from_dict`` one unrolled run of checks, each built with
+``exec`` the way ``dataclasses`` builds ``__init__``.  Reads check every
+value against its declared type (the keys of an object field too), then
+``validate`` it.  ``append`` decodes each record's stored form the same way
+and holds the decoded record, so it refuses what the open refuses (the open
+adds ``path:line``) and holds each field as its declared type.  Timestamps
+are integer seconds from the campaign epoch.  Query supports equality on any
+field and range operators via ``field__ge / __gt / __le / __lt`` suffixes; a
+filter value may be given as the field's type (``Money``, ``JobStatus``) or
+in its stored form (micro-USD, status text).  Results are ordered by
+(submitted_at, job_id) so equal filters always produce identical bytes on
+export.  CSV rows (export and reports) go through ``csv_line``, which writes
+the bytes of ``csv.writer``'s default dialect.
 """
 
 from __future__ import annotations
@@ -32,11 +39,10 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Iterator, TextIO, get_args, get_origin, get_type_hints
 
 from .circuit import GateCensus
 from .costing import Money
@@ -51,7 +57,11 @@ class StoreError(Exception):
 
 @dataclass(frozen=True)
 class JobRecord:
-    """One submission attempt, terminal or not."""
+    """One submission attempt, terminal or not.
+
+    ``to_dict`` and ``from_dict``, the store codec, are generated from these
+    annotations once the class is made (see ``_compile``).
+    """
 
     job_id: str
     cloud: str
@@ -76,6 +86,11 @@ class JobRecord:
             raise StoreError(f"{self.job_id}: qubits and shots must be positive")
         if self.cost.micros < 0:
             raise StoreError(f"{self.job_id}: negative cost")
+        # NaN and infinities are not JSON (RFC 8259), though json writes and reads them
+        if not (self.predicted_wait is None or math.isfinite(self.predicted_wait)):
+            raise StoreError(f"{self.job_id}: predicted_wait is not finite")
+        if not (self.actual_wait is None or math.isfinite(self.actual_wait)):
+            raise StoreError(f"{self.job_id}: actual_wait is not finite")
         processed = self.status is JobStatus.PROCESSED
         have_results = (
             self.counts is not None and self.fidelity is not None and self.success is not None
@@ -95,35 +110,6 @@ class JobRecord:
                 raise StoreError(f"{self.job_id}: processed record missing executed_at")
         if self.status is JobStatus.UNAVAILABLE and self.cost.micros != 0:
             raise StoreError(f"{self.job_id}: unavailable submissions cost nothing")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {name: _flat(getattr(self, name)) for name in RECORD_FIELDS}
-
-    @classmethod
-    def from_dict(cls, obj: Any) -> "JobRecord":
-        """Decode a stored object; raises StoreError for anything ``append`` refuses.
-
-        The one check of the format: the open runs it on every line read, and
-        ``append`` on every record's stored form before writing it.
-        """
-        if type(obj) is not dict:
-            raise StoreError("a record line must hold a JSON object")
-        if obj.keys() != RECORD_FIELDS.keys():
-            raise StoreError(f"missing or unknown keys {sorted(obj.keys() ^ RECORD_FIELDS.keys())}")
-        values = dict(obj)
-        for name, (types, decode) in _CODECS.items():
-            value = obj[name]
-            if type(value) not in types:
-                typ = RECORD_FIELDS[name][0]
-                raise StoreError(f"{name} holds {value!r:.40}, not a stored {typ.__name__}")
-            if decode is not None and value is not None:
-                try:
-                    values[name] = decode(value)
-                except ValueError as exc:
-                    raise StoreError(f"{name}: {exc}") from exc
-        record = cls(**values)
-        record.validate()
-        return record
 
 
 def _declared(hint: Any) -> tuple[Any, bool]:
@@ -145,9 +131,17 @@ def _census_from_json(obj: dict[str, int]) -> GateCensus:
     return census
 
 
+_STATUSES = {status.value: status for status in JobStatus}
+
+
+def _status_from_json(text: str) -> JobStatus:
+    status = _STATUSES.get(text)
+    return JobStatus(text) if status is None else status  # JobStatus(text) raises for unknown text
+
+
 # field types not stored as themselves: type -> (JSON type, to JSON, from JSON)
 _STORED_AS = {
-    JobStatus: (str, attrgetter("value"), JobStatus),
+    JobStatus: (str, attrgetter("_value_"), _status_from_json),
     Money: (int, attrgetter("micros"), Money),
     GateCensus: (dict[str, int], GateCensus.as_dict, _census_from_json),
 }
@@ -157,6 +151,101 @@ _STORED_AS = {
 def _flat(value: Any) -> Any:
     codec = _STORED_AS.get(type(value))
     return value if codec is None else codec[1](value)
+
+
+def _encoder_source() -> str:
+    """``to_dict``: one dict display whose every value is ``_flat`` of its field.
+
+    A field holding its declared type converts inline; any other value (None
+    of an optional field, or a mistyped one) goes through ``_flat`` itself.
+    """
+    lines = [
+        "def to_dict(self):",
+        '    """The record as the store writes it: each field as ``_flat`` gives it."""',
+        *(f"    {name} = self.{name}" for name in RECORD_FIELDS),
+        "    return {",
+    ]
+    for name, (typ, optional) in RECORD_FIELDS.items():
+        held = (get_origin(typ) or typ).__name__
+        if typ in _STORED_AS:
+            value = f"_to_{held}({name})"
+        else:
+            value, held = name, f"{held} or {name} is None" if optional else held
+        lines.append(f"        {name!r}: {value} if type({name}) is {held} else _flat({name}),")
+    return "\n".join([*lines, "    }"])
+
+
+def _decoder_source() -> str:
+    """``from_dict``: every check of the stored format, unrolled in field order."""
+    lines = [
+        "def from_dict(cls, obj):",
+        '    """Decode a stored object; raises StoreError for anything ``append`` refuses.',
+        "",
+        "    The one check of the format: the open runs it on every line read, and",
+        "    ``append`` on every record's stored form before writing it.",
+        '    """',
+        "    if type(obj) is not dict:",
+        "        raise StoreError('a record line must hold a JSON object')",
+        "    if obj.keys() != _FIELDS:",
+        "        raise StoreError(f'missing or unknown keys {sorted(obj.keys() ^ _FIELDS)}')",
+    ]
+    for name, (typ, optional) in RECORD_FIELDS.items():
+        json_type, _, decode = _STORED_AS.get(typ, (typ, None, None))
+        # an int passes for a float, a bool never for an int
+        allowed = [float, int] if json_type is float else [get_origin(json_type) or json_type]
+        mistyped = " and ".join(f"type({name}) is not {t.__name__}" for t in allowed)
+        if optional:
+            mistyped += f" and {name} is not None"
+        lines += [
+            f"    {name} = obj[{name!r}]",
+            f"    if {mistyped}:",
+            f"        raise StoreError(f'{name} holds {{{name}!r:.40}}, "
+            f"not a stored {typ.__name__}')",
+        ]
+        checks = []
+        if get_origin(json_type) is dict:  # JSON object keys are text, so check them too
+            key_type, value_type = get_args(json_type)
+            parts = (("values", f"{name}.values()", value_type), ("keys", name, key_type))
+            for part, of, held in parts:
+                checks += [
+                    f"if not set(map(type, {of})) <= {{{held.__name__}}}:",
+                    f"    raise StoreError('{name}: {part} are not all {held.__name__}')",
+                ]
+        if decode is not None:
+            checks += [
+                "try:",
+                f"    {name} = _from_{typ.__name__}({name})",
+                "except ValueError as exc:",
+                f"    raise StoreError(f'{name}: {{exc}}') from exc",
+            ]
+        if optional and checks:
+            lines.append(f"    if {name} is not None:")
+            checks = ["    " + line for line in checks]
+        lines += ["    " + line for line in checks]
+    lines += [
+        f"    record = cls({', '.join(RECORD_FIELDS)})",
+        "    record.validate()",
+        "    return record",
+    ]
+    return "\n".join(lines)
+
+
+def _compile(source: str, name: str) -> Any:
+    """The function ``name`` that ``source`` defines, with the store's names in scope."""
+    scope: dict[str, Any] = {"StoreError": StoreError, "_flat": _flat}
+    scope["_FIELDS"] = RECORD_FIELDS.keys()
+    for typ, (_, to_json, from_json) in _STORED_AS.items():
+        held = typ.__name__
+        scope |= {held: typ, f"_to_{held}": to_json, f"_from_{held}": from_json}
+    exec(source, scope)
+    fn = scope[name]
+    fn.__qualname__ = f"JobRecord.{name}"
+    return fn
+
+
+# built once, at import, from the annotations, the way dataclasses builds __init__
+JobRecord.to_dict = _compile(_encoder_source(), "to_dict")
+JobRecord.from_dict = classmethod(_compile(_decoder_source(), "from_dict"))
 
 
 # the one JSON encoding of the store: record lines, and counts and census cells in CSV
@@ -183,24 +272,6 @@ def csv_line(fields: Iterable[Any]) -> str:
         return '""\r\n'
     return ",".join(cells) + "\r\n"
 
-
-def _codec(typ: Any, optional: bool):
-    """(the JSON types a stored value may have, its check-and-decode or None)."""
-    json_type, _, decode = _STORED_AS.get(typ, (typ, None, None))
-    if get_origin(json_type) is dict:  # JSON object keys are always text
-        json_type, decode = dict, partial(_decode_object, get_args(json_type)[1], decode)
-    # an int passes for a float, a bool never for an int
-    types = {json_type, int} if json_type is float else {json_type}
-    return types | {NoneType} if optional else types, decode
-
-
-def _decode_object(value_type: type, decode, obj: dict) -> Any:
-    if not set(map(type, obj.values())) <= {value_type}:
-        raise ValueError(f"values are not all {value_type.__name__}")
-    return obj if decode is None else decode(obj)
-
-
-_CODECS = {name: _codec(typ, optional) for name, (typ, optional) in RECORD_FIELDS.items()}
 
 _RANGE_OPS = {
     "ge": lambda a, b: a >= b,
@@ -229,12 +300,17 @@ def _predicate(key: str, want: Any):
 
 
 class JobStore:
-    """Append-only record log; safe for one writer, many readers in-process."""
+    """Append-only record log; safe for one writer, many readers in-process.
+
+    ``close()``, or leaving a ``with JobStore(...)`` block, closes the file
+    that ``append`` keeps open.
+    """
 
     def __init__(self, path: str | os.PathLike[str]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord | None] = {}  # job_id -> record, in append order
+        self._appender: TextIO | None = None  # opened by the first append, kept until close()
         try:
             self._open()
         except OSError as exc:  # a directory, a parent that cannot be made, an unreadable file
@@ -289,10 +365,24 @@ class JobStore:
             if record.job_id in self._records:
                 raise StoreError(f"duplicate job_id {record.job_id}")
             line = _json_text(stored)
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+            if self._appender is None:
+                self._appender = open(self.path, "a", encoding="utf-8", newline="\n")
+            self._appender.write(line + "\n")
+            self._appender.flush()  # a kill loses at most the line being written
             self._keep(record)
+
+    def close(self) -> None:
+        """Close the file ``append`` holds open, if any; a later append opens it again."""
+        with self._lock:
+            if self._appender is not None:
+                self._appender.close()
+                self._appender = None
+
+    def __enter__(self) -> "JobStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def records(self) -> Iterator[JobRecord]:
         """All held records in append order."""

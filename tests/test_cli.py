@@ -1,14 +1,28 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qbench.cli import ConfigError, _parse_qubits, load_config, main
+import qbench
+from qbench import cli
+from qbench import store as store_module
+from qbench.cli import ConfigError, _parse_qubits, load_config, main, record_from_poll
 from qbench.costing import Money
 from qbench.providers import JobStatus
 from qbench.store import JobStore
-from test_store import MALFORMED_EDITS, make_record, processed_record, write_malformed_store
+from test_store import (
+    MALFORMED_EDITS,
+    RecordingOpen,
+    make_record,
+    processed_record,
+    write_malformed_store,
+)
 
 
 def run_cli(*args):
@@ -490,3 +504,81 @@ def test_campaign_run_under_a_parent_that_cannot_be_made_is_exit_3_and_creates_n
     assert f"store error: cannot open store {store_path}: " in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "c.ini"]
     assert (tmp_path / "blocker").read_text() == "a file, not a directory\n"
+
+
+KILL_CONFIG = """
+[campaign]
+qubits = 4,6,8
+shots = 100
+days = 2
+sweeps_per_day = 2
+seed = 20240917
+
+[targets]
+use = aria1-emulator, garnet-aws
+"""
+
+# runs a campaign that SIGKILLs its own process right after its k-th append
+KILLED_CAMPAIGN = """
+import os, signal, sys
+from qbench import cli
+from qbench.store import JobStore
+
+config, store_path, kill_after = sys.argv[1], sys.argv[2], int(sys.argv[3])
+append, appended = JobStore.append, 0
+
+def append_then_die(store, record):
+    global appended
+    append(store, record)
+    appended += 1
+    if appended == kill_after:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+JobStore.append = append_then_die
+cli.run_campaign(cli.load_config(config), store_path)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_campaign_killed_after_an_append_keeps_exactly_the_lines_before_it(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", KILL_CONFIG)
+    whole = tmp_path / "whole.jsonl"
+    assert run_cli("--store", str(whole), "campaign", "run", "--config", cfg)[0] == 0
+    lines = whole.read_bytes().splitlines(keepends=True)
+    kill_after = 9
+    assert len(lines) == 24 > kill_after
+
+    killed = tmp_path / "killed.jsonl"
+    src = str(Path(qbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", KILLED_CAMPAIGN, cfg, str(killed), str(kill_after)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == -signal.SIGKILL, run.stderr
+    assert killed.read_bytes() == b"".join(lines[:kill_after])
+    assert [r.job_id for r in JobStore(killed).records()] == [
+        json.loads(line)["job_id"] for line in lines[:kill_after]
+    ]
+
+
+def test_campaign_that_raises_mid_run_closes_its_store(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "c.ini", KILL_CONFIG)
+    store_path = tmp_path / "run.jsonl"
+    opens = RecordingOpen()
+    polled = 0
+
+    def record_or_fail(*args):
+        nonlocal polled
+        polled += 1
+        if polled == 4:
+            raise RuntimeError("provider went away")
+        return record_from_poll(*args)
+
+    monkeypatch.setattr(store_module, "open", opens, raising=False)
+    monkeypatch.setattr(cli, "record_from_poll", record_or_fail)
+    with pytest.raises(RuntimeError, match="provider went away"):
+        cli.run_campaign(load_config(cfg), str(store_path))
+    (appender,) = opens.appenders()
+    assert appender.closed
+    assert len(JobStore(store_path)) == 3

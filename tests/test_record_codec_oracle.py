@@ -1,19 +1,30 @@
-"""Differential oracle for the ``JobRecord`` codec in ``store``.
+"""Differential oracles for the ``JobRecord`` codec in ``store``.
 
 ``oracle_to_dict`` and ``oracle_from_dict`` are the earlier hand-written
-codec: one line per field, each type's stored form spelled out.  The codec
-derived from the annotations must write the same objects and read them back
-to equal records.
+codec: one line per field, each type's stored form spelled out.
+``walk_to_dict`` and ``walk_from_dict`` are the codec that came after it and
+before the generated one: a walk over the annotations at every call, through
+``_codec`` and ``_decode_object``.  The generated codec must write the same
+objects as both, read them back to equal records, and refuse what the walk
+refuses with the same text.
 """
 
+import dataclasses
 import json
+import math
+from functools import partial
+from operator import attrgetter
+from types import NoneType
+from typing import Any, get_args, get_origin
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qbench.circuit import GateCensus
 from qbench.costing import Money
 from qbench.providers import JobStatus
-from qbench.store import JobRecord, JobStore, StoreError
+from qbench.store import RECORD_FIELDS, SUCCESS_THRESHOLD, JobRecord, JobStore, StoreError
 from test_report_oracle import every_status_records
 from test_store import _random_fixture, make_record, processed_record
 
@@ -69,6 +80,74 @@ def oracle_from_dict(obj):
         raise StoreError(f"malformed record object: {exc}") from exc
 
 
+def _census_from_json(obj):
+    census = GateCensus(n_1q=obj.get("n_1q", 0), n_2q=obj.get("n_2q", 0))
+    if census.as_dict() != obj:  # a missing or unknown key, or a wrong total
+        raise ValueError(f"{obj} is not {census.as_dict()}")
+    return census
+
+
+# field types not stored as themselves: type -> (JSON type, to JSON, from JSON)
+_STORED_AS = {
+    JobStatus: (str, attrgetter("value"), JobStatus),
+    Money: (int, attrgetter("micros"), Money),
+    GateCensus: (dict[str, int], GateCensus.as_dict, _census_from_json),
+}
+
+
+def _flat(value):
+    codec = _STORED_AS.get(type(value))
+    return value if codec is None else codec[1](value)
+
+
+def _codec(typ, optional):
+    """(the JSON types a stored value may have, its check-and-decode or None)."""
+    json_type, _, decode = _STORED_AS.get(typ, (typ, None, None))
+    if get_origin(json_type) is dict:  # JSON object keys are always text
+        json_type, decode = dict, partial(_decode_object, get_args(json_type), decode)
+    # an int passes for a float, a bool never for an int
+    types = {json_type, int} if json_type is float else {json_type}
+    return types | {NoneType} if optional else types, decode
+
+
+def _decode_object(key_value_types, decode, obj):
+    key_type, value_type = key_value_types
+    if not set(map(type, obj.values())) <= {value_type}:
+        raise ValueError(f"values are not all {value_type.__name__}")
+    # the walk checked values only; keys are checked since the generated codec came
+    if not set(map(type, obj)) <= {key_type}:
+        raise ValueError(f"keys are not all {key_type.__name__}")
+    return obj if decode is None else decode(obj)
+
+
+_CODECS = {name: _codec(typ, optional) for name, (typ, optional) in RECORD_FIELDS.items()}
+
+
+def walk_to_dict(record) -> dict[str, Any]:
+    return {name: _flat(getattr(record, name)) for name in RECORD_FIELDS}
+
+
+def walk_from_dict(obj) -> JobRecord:
+    if type(obj) is not dict:
+        raise StoreError("a record line must hold a JSON object")
+    if obj.keys() != RECORD_FIELDS.keys():
+        raise StoreError(f"missing or unknown keys {sorted(obj.keys() ^ RECORD_FIELDS.keys())}")
+    values = dict(obj)
+    for name, (types, decode) in _CODECS.items():
+        value = obj[name]
+        if type(value) not in types:
+            typ = RECORD_FIELDS[name][0]
+            raise StoreError(f"{name} holds {value!r:.40}, not a stored {typ.__name__}")
+        if decode is not None and value is not None:
+            try:
+                values[name] = decode(value)
+            except ValueError as exc:
+                raise StoreError(f"{name}: {exc}") from exc
+    record = JobRecord(**values)
+    record.validate()
+    return record
+
+
 def _line(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -108,3 +187,151 @@ def test_store_lines_match_oracle(fixture, tmp_path):
     want = "".join(_line(oracle_to_dict(r)) + "\n" for r in records)
     assert (tmp_path / "log.jsonl").read_text() == want
     assert list(JobStore(tmp_path / "log.jsonl").records()) == records
+
+
+# --- the generated codec against the annotation walk, on drawn inputs --------
+
+TEXT = st.text(max_size=6)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**6), 10**6), st.floats(allow_nan=False), TEXT
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3), st.dictionaries(TEXT, JSON_SCALARS, max_size=3)
+)
+CENSUSES = st.builds(GateCensus, st.integers(0, 10**4), st.integers(0, 10**4))
+# anything a caller of the Python API could put in a field
+ANY_VALUE = st.one_of(
+    JSON_VALUES,
+    st.floats(),
+    st.builds(Money, st.integers(-10, 10**8) | st.floats(0, 10)),
+    st.sampled_from(list(JobStatus)),
+    CENSUSES,
+    st.dictionaries(st.integers(0, 64) | TEXT, st.integers(0, 500), max_size=3),
+)
+
+
+@st.composite
+def records(draw):
+    """A record ``validate`` passes, of any status."""
+    status = draw(st.sampled_from(list(JobStatus)))
+    shots = draw(st.integers(1, 1000))
+    counts = fidelity = success = executed_at = actual_wait = None
+    if status is JobStatus.PROCESSED:
+        keys = draw(st.lists(st.text("01", min_size=1, max_size=8), min_size=1, max_size=6, unique=True))
+        cuts = sorted(draw(st.lists(st.integers(0, shots), min_size=len(keys) - 1, max_size=len(keys) - 1)))
+        counts = {k: hi - lo for k, lo, hi in zip(keys, [0, *cuts], [*cuts, shots])}
+        fidelity = draw(st.floats(0, 1))
+        success = fidelity >= SUCCESS_THRESHOLD
+        executed_at = draw(st.integers(0, 10**7))
+        actual_wait = draw(st.floats(0, 1e6) | st.integers(0, 10**6))
+    return JobRecord(
+        job_id=draw(TEXT),
+        cloud=draw(st.sampled_from(["SimAWS", "SimAzure"])),
+        target=draw(TEXT),
+        qubits=draw(st.integers(1, 60)),
+        shots=shots,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        submitted_at=draw(st.integers(0, 10**7)),
+        status=status,
+        cost=Money(0 if status is JobStatus.UNAVAILABLE else draw(st.integers(0, 10**9))),
+        executed_at=executed_at,
+        predicted_wait=draw(st.none() | st.floats(0, 1e6)),
+        actual_wait=actual_wait,
+        census=draw(st.none() | CENSUSES),
+        counts=counts,
+        fidelity=fidelity,
+        success=success,
+        error_message=draw(st.none() | TEXT),
+    )
+
+
+def _outcome(fn, arg):
+    """What ``fn`` made of ``arg``: its repr (NaN equals itself there), or its refusal."""
+    try:
+        return "made", repr(fn(arg))
+    except StoreError as exc:
+        return "refused", str(exc)
+    except (TypeError, ValueError) as exc:  # the JSON encoder's own refusals
+        return type(exc).__name__, str(exc)
+
+
+INT_FIELDS = [name for name, (typ, _) in RECORD_FIELDS.items() if typ is int]
+FLOAT_FIELDS = [name for name, (typ, _) in RECORD_FIELDS.items() if typ is float]
+FIELDS = st.sampled_from(list(RECORD_FIELDS))
+
+
+def _set(obj, name, value):
+    return {**obj, name: value}
+
+
+def _drop(obj, draw):
+    name = draw(FIELDS)
+    return {k: v for k, v in obj.items() if k != name}
+
+
+def _bad_total(obj, draw):
+    n_1q, n_2q = draw(st.integers(0, 100)), draw(st.integers(0, 100))
+    total = draw(st.integers(0, 300).filter(lambda t: t != n_1q + n_2q))
+    return _set(obj, "census", {"n_1q": n_1q, "n_2q": n_2q, "total": total})
+
+
+def _census_keys(obj, draw):
+    keys = draw(st.lists(st.sampled_from(["n_1q", "n_2q", "total", "n_3q", 1]), max_size=4, unique=True))
+    return _set(obj, "census", {k: draw(st.integers(0, 100)) for k in keys})
+
+
+def _counts_keys(obj, draw):
+    """Counts of the right total whose keys are not all text, as only the Python API can hold."""
+    shots = obj["shots"] if type(obj["shots"]) is int else 1
+    key = draw(st.integers(0, 64))
+    counts = draw(st.sampled_from([{key: shots}, {key: shots - 1, str(key): 1}, {str(key): shots, None: 0}]))
+    return _set(obj, "counts", counts)
+
+
+# each a way a stored object can be wrong: obj, draw -> the corrupted object
+CORRUPTIONS = {
+    "any-json-type": lambda obj, draw: _set(obj, draw(FIELDS), draw(JSON_VALUES)),
+    "any-value": lambda obj, draw: _set(obj, draw(FIELDS), draw(ANY_VALUE)),
+    "bool-for-int": lambda obj, draw: _set(obj, draw(st.sampled_from(INT_FIELDS)), draw(st.booleans())),
+    "int-for-float": lambda obj, draw: _set(obj, draw(st.sampled_from(FLOAT_FIELDS)), draw(st.integers(-5, 5))),
+    "missing-key": _drop,
+    "extra-key": lambda obj, draw: _set(obj, draw(TEXT.filter(lambda k: k not in obj)), draw(JSON_VALUES)),
+    "unknown-status": lambda obj, draw: _set(obj, "status", draw(TEXT)),
+    "census-total": _bad_total,
+    "census-keys": _census_keys,
+    "counts-keys": _counts_keys,
+    "non-finite-wait": lambda obj, draw: _set(
+        obj, draw(st.sampled_from(["predicted_wait", "actual_wait"])), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    ),
+    "not-an-object": lambda obj, draw: draw(JSON_VALUES.filter(lambda v: type(v) is not dict)),
+}
+
+CODEC_SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@CODEC_SETTINGS
+@given(records())
+def test_generated_codec_round_trips_as_the_walk_does(record):
+    stored = record.to_dict()
+    assert stored == walk_to_dict(record) == oracle_to_dict(record)
+    assert _line(stored) == _line(walk_to_dict(record))
+    read = json.loads(_line(stored))
+    assert JobRecord.from_dict(read) == walk_from_dict(read) == record
+    assert JobRecord.from_dict(stored) == record
+
+
+@CODEC_SETTINGS
+@given(records(), FIELDS, ANY_VALUE)
+def test_generated_encoder_flattens_any_value_as_the_walk_does(record, name, value):
+    record = dataclasses.replace(record, **{name: value})
+    stored = record.to_dict()
+    assert repr(stored) == repr(walk_to_dict(record))
+    assert _outcome(_line, stored) == _outcome(_line, walk_to_dict(record))
+    assert _outcome(JobRecord.from_dict, stored) == _outcome(walk_from_dict, stored)
+
+
+@CODEC_SETTINGS
+@given(records(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
+def test_generated_decoder_refuses_as_the_walk_does(record, kind, data):
+    obj = CORRUPTIONS[kind](record.to_dict(), data.draw)
+    assert _outcome(JobRecord.from_dict, obj) == _outcome(walk_from_dict, obj)

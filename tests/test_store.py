@@ -2,12 +2,14 @@ import csv
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from qbench.circuit import GateCensus, ideal_output
 from qbench.costing import Money
 from qbench.providers import JobStatus
+from qbench import store as store_module
 from qbench.store import JobRecord, JobStore, StoreError, default_store_path
 
 TARGETS = ["aria1-aws", "aria1-azure", "h1-azure", "garnet-aws"]
@@ -178,7 +180,13 @@ APPEND_REFUSES = {
     "bool-count": processed_record(0, shots=1, counts={"0101": True}),
     # validate() skips its unavailable check for a status held as text
     "billed-unavailable-text": make_record(0, status="unavailable", cost=Money(5)),
+    # a line cannot hold these: JSON writes the key 6 as "6", and cannot sort 6 with "6"
+    "int-count-key": processed_record(0, counts={6: 500}),
+    "mixed-count-keys": processed_record(0, counts={6: 250, "6": 250}),
 }
+
+# JSON object keys are always text, so only the Python API can hand these in
+KEYS_NO_LINE_HOLDS = {"int-count-key", "mixed-count-keys"}
 
 
 @pytest.mark.parametrize("case", sorted(APPEND_REFUSES))
@@ -192,6 +200,9 @@ def test_append_refuses_what_the_open_refuses(tmp_path, case):
         store.append(record)
     assert path.read_bytes() == before
     assert record.job_id not in store and len(JobStore(path)) == 1
+    if case in KEYS_NO_LINE_HOLDS:
+        assert str(refused.value) == "counts: keys are not all str"
+        return
 
     # the same record written by hand fails the open with the same message
     with open(path, "a") as fh:
@@ -199,6 +210,23 @@ def test_append_refuses_what_the_open_refuses(tmp_path, case):
     with pytest.raises(StoreError) as opened:
         JobStore(path)
     assert str(opened.value) == f"{path}:2: {refused.value}"
+
+
+@pytest.mark.parametrize("field", ["predicted_wait", "actual_wait"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_wait_is_refused_by_append_and_by_the_open(tmp_path, field, value):
+    record = processed_record(0, **{field: value})
+    path = tmp_path / "log.jsonl"
+    store = JobStore(path)
+    with pytest.raises(StoreError, match=f"^job-0000: {field} is not finite$"):
+        store.append(record)
+    assert path.read_bytes() == b""
+
+    # json writes NaN and Infinity bare and reads them back; the open refuses them
+    with open(path, "a") as fh:
+        fh.write(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(StoreError, match=f"^{path}:1: job-0000: {field} is not finite$"):
+        JobStore(path)
 
 
 def test_append_holds_the_record_a_reopen_reads(tmp_path):
@@ -407,14 +435,16 @@ MALFORMED_EDITS = {
     "count-as-float": _retype_one_count(float),
     "count-as-bool": _retype_one_count(bool),
     "census-extra-key": lambda obj: obj["census"].update(n_3q=0),
+    "predicted-wait-nan": lambda obj: obj.update(predicted_wait=math.nan),
+    "actual-wait-infinity": lambda obj: obj.update(actual_wait=math.inf),
 }
 
 
 def write_malformed_store(path, case):
     """Two good records, then the edited one on line 3."""
-    store = JobStore(path)
-    store.append(make_record(0))
-    store.append(processed_record(1))
+    with JobStore(path) as store:
+        store.append(make_record(0))
+        store.append(processed_record(1))
     obj = processed_record(2).to_dict()
     MALFORMED_EDITS[case](obj)
     with open(path, "a") as fh:
@@ -449,3 +479,50 @@ def test_int_field_refuses_a_bool():
     obj["submitted_at"] = True
     with pytest.raises(StoreError, match="submitted_at"):
         JobRecord.from_dict(obj)
+
+
+class RecordingOpen:
+    """Stands in for ``open`` in ``store``, keeping each file it opens with its mode."""
+
+    def __init__(self):
+        self.files = []  # (path, mode, file object)
+
+    def __call__(self, file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        self.files.append((Path(file), mode, fh))
+        return fh
+
+    def appenders(self):
+        return [fh for _, mode, fh in self.files if "a" in mode]
+
+
+def test_store_appends_through_one_handle_until_closed(tmp_path, monkeypatch):
+    opens = RecordingOpen()
+    monkeypatch.setattr(store_module, "open", opens, raising=False)
+    path = tmp_path / "log.jsonl"
+    with JobStore(path) as store:
+        for i in range(3):
+            store.append(make_record(i))
+            # each line is on disk once append returns
+            assert len(path.read_bytes().splitlines()) == i + 1
+        (appender,) = opens.appenders()
+        assert not appender.closed
+    assert appender.closed
+    store.close()  # closing twice is harmless
+    store.append(make_record(3))  # and a later append opens the file again
+    store.close()
+    assert len(opens.appenders()) == 2 and all(fh.closed for fh in opens.appenders())
+    assert [r.job_id for r in JobStore(path).records()] == [f"job-{i:04d}" for i in range(4)]
+
+
+def test_reading_a_store_never_opens_it_to_write(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    with JobStore(path) as store:
+        for r in _random_fixture(20):
+            store.append(r)
+    opens = RecordingOpen()
+    monkeypatch.setattr(store_module, "open", opens, raising=False)
+    with JobStore(path) as store:
+        store.query(status="processed")
+        store.export_csv(tmp_path / "out.csv")
+    assert [mode for file, mode, _ in opens.files if file == path] == ["rb"]
