@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from qbench import store as store_module
 from qbench.circuit import GateCensus, ideal_output
 from qbench.costing import Money
 from qbench.providers import JobStatus
-from qbench import store as store_module
 from qbench.store import JobRecord, JobStore, StoreError, default_store_path
 
 TARGETS = ["aria1-aws", "aria1-azure", "h1-azure", "garnet-aws"]
