@@ -178,16 +178,6 @@ def ideal_distribution(circuit: Circuit) -> dict[str, float]:
     return dict(zip(_bitstrings(support, circuit.width), probs[support].tolist()))
 
 
-def _sample_from_distribution(
-    dist: dict[str, float], shots: int, rng: np.random.Generator
-) -> dict[str, int]:
-    keys = sorted(dist)
-    pvals = np.array([dist[k] for k in keys], dtype=float)
-    pvals = pvals / pvals.sum()
-    hits = rng.multinomial(shots, pvals)
-    return {k: int(c) for k, c in zip(keys, hits) if c}
-
-
 def run_noisy(
     circuit: Circuit, noise: NoiseSpec, shots: int, seed: int
 ) -> dict[str, int]:
@@ -207,23 +197,29 @@ def sample_depolarized(
     """``GlobalDepolarizing`` counts for a circuit that ran ``n_2q`` two-qubit gates.
 
     The channel reads no gate past the ideal distribution, so a lowering's
-    two-qubit count can be paired with its source circuit.
+    two-qubit count can be paired with its source circuit.  The draws are, in
+    order: how many shots are clean (``binomial``), where the clean ones fall
+    on the sorted ideal support (``multinomial``), and one uniform outcome per
+    scrambled shot (``integers``).  Every shot's outcome value is then tallied
+    in one ``np.unique`` and each distinct value rendered once, so the keys
+    come out ascending.  Outcome values are held as 64-bit integers.
     """
     rng = np.random.default_rng(seed)
     p_clean = noise.f_2qg**n_2q
     ideal = ideal_distribution(circuit)
     clean = int(rng.binomial(shots, p_clean)) if shots else 0
-    clean_hits = _sample_from_distribution(ideal, clean, rng) if clean else {}
-    counts: dict[str, int] = {}
-    scrambled = shots - clean
-    if scrambled:
-        draws = rng.integers(0, 1 << circuit.width, size=scrambled)
-        vals, reps = np.unique(draws, return_counts=True)
-        counts = dict(zip(_bitstrings(vals, circuit.width), reps.tolist()))
-    # clean shots fall on the ideal support: one key for a benchmark
-    for key, c in clean_hits.items():
-        counts[key] = counts.get(key, 0) + c
-    return dict(sorted(counts.items()))
+    outcomes = np.empty(shots, dtype=np.uint64)
+    if clean:
+        keys = sorted(ideal)
+        pvals = np.array([ideal[k] for k in keys], dtype=float)
+        hits = rng.multinomial(clean, pvals / pvals.sum())
+        # clean shots fall on the ideal support: one value for a benchmark
+        support = np.array([int(k, 2) for k in keys], dtype=np.uint64)
+        outcomes[:clean] = np.repeat(support, hits)
+    if clean < shots:
+        outcomes[clean:] = rng.integers(0, 1 << circuit.width, size=shots - clean)
+    vals, reps = np.unique(outcomes, return_counts=True)
+    return dict(zip(_bitstrings(vals, circuit.width), reps.tolist()))
 
 
 def _run_trajectories(

@@ -92,13 +92,12 @@ class JobRecord:
         if not (self.actual_wait is None or math.isfinite(self.actual_wait)):
             raise StoreError(f"{self.job_id}: actual_wait is not finite")
         processed = self.status is JobStatus.PROCESSED
-        have_results = (
-            self.counts is not None and self.fidelity is not None and self.success is not None
-        )
-        if processed != have_results:
-            raise StoreError(
-                f"{self.job_id}: counts/fidelity/success present iff status is processed"
-            )
+        # each result on its own: a job that never ran holds none of them
+        for result in (self.counts, self.fidelity, self.success):
+            if processed != (result is not None):
+                raise StoreError(
+                    f"{self.job_id}: counts/fidelity/success present iff status is processed"
+                )
         if processed:
             if sum(self.counts.values()) != self.shots:
                 raise StoreError(f"{self.job_id}: counts do not sum to shots")

@@ -22,10 +22,12 @@ so a lowered circuit is equivalent to its source up to global phase.
 Because no rule elides a gate, how many one- and two-qubit gates a source
 gate lowers to depends on its kind alone, never on its angle or qubits.
 ``lowered_census`` uses that to give the census of a lowering without
-emitting it: it counts the source gates by kind and multiplies by a
-per-profile table, derived by lowering one sample gate of each kind through
-the same rules.  Billing, gate limits and distribution-level noise read only
-that census, so ``transpile`` is needed only where lowered gates are run.
+emitting it: it multiplies the source gates' kind counts by a per-profile
+table, derived by lowering one sample gate of each kind through the same
+rules.  A benchmark's kind counts follow from its width and its X prefix, so
+each width's body is counted once per profile.  Billing, gate limits and
+distribution-level noise read only that census, so ``transpile`` is needed
+only where lowered gates are run.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .circuit import (
     Gate,
     GateCensus,
     GateKind,
+    _benchmark_body,
+    benchmark_input,
     build_benchmark,
     census,
 )
@@ -260,15 +264,38 @@ def _census_per_kind(profile: GateSetProfile) -> dict[GateKind, tuple[int, int]]
 _kind = attrgetter("kind")
 
 
-def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
-    """``transpile(circuit, profile).census``, counted without lowering a gate."""
+def _counted_census(gates: tuple[Gate, ...], profile: GateSetProfile) -> GateCensus:
+    """The lowered census of ``gates``, from a count of their kinds."""
     table = _census_per_kind(profile)
     n_1q = n_2q = 0
-    for kind, count in Counter(map(_kind, circuit.gates)).items():
+    for kind, count in Counter(map(_kind, gates)).items():
         per_1q, per_2q = table[kind]
         n_1q += per_1q * count
         n_2q += per_2q * count
     return GateCensus(n_1q=n_1q, n_2q=n_2q)
+
+
+@cache
+def _body_census(q: int, profile: GateSetProfile) -> GateCensus:
+    """The lowered census of the benchmark body every input of width ``q`` shares."""
+    return _counted_census(_benchmark_body(q), profile)
+
+
+def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
+    """``transpile(circuit, profile).census``, counted without lowering a gate.
+
+    A circuit whose gates are exactly a benchmark's (``benchmark_input``, the
+    test ``ideal_distribution`` makes; metadata is never read) lowers to its
+    width's body, counted once per width and profile, plus one X per set bit
+    of its input.  Any other circuit has its gates counted by kind.
+    """
+    n = benchmark_input(circuit)
+    if n is None:
+        return _counted_census(circuit.gates, profile)
+    body = _body_census(circuit.width, profile)
+    x_1q, x_2q = _census_per_kind(profile)[GateKind.X]
+    bits = n.bit_count()
+    return GateCensus(n_1q=body.n_1q + x_1q * bits, n_2q=body.n_2q + x_2q * bits)
 
 
 def verify_equivalence(a: Circuit, b: Circuit) -> float:

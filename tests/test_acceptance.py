@@ -204,12 +204,10 @@ def _oracle_match(record, key, want):
 
 def test_criterion_07_store_oracle(tmp_path):
     path = tmp_path / "acceptance.jsonl"
-    store = JobStore(path)
-    fixture = []
-    for i in range(1000):
-        record = processed_record(i) if i % 3 else make_record(i)
-        store.append(record)
-        fixture.append(record)
+    fixture = [processed_record(i) if i % 3 else make_record(i) for i in range(1000)]
+    with JobStore(path) as store:
+        for record in fixture:
+            store.append(record)
 
     reread = list(JobStore(path).records())
     ok = len(reread) == 1000 and all(a == b for a, b in zip(fixture, reread))
@@ -232,9 +230,9 @@ def test_criterion_07_store_oracle(tmp_path):
     data = path.read_bytes()
     torn = tmp_path / "torn.jsonl"
     torn.write_bytes(data[:-17])
-    recovered = JobStore(torn)
-    ok = ok and len(recovered) >= 999
-    recovered.append(make_record(2000))
+    with JobStore(torn) as recovered:
+        ok = ok and len(recovered) >= 999
+        recovered.append(make_record(2000))
     ok = ok and len(JobStore(torn)) == len(recovered)
     verdict(7, "store-oracle", ok)
     assert ok

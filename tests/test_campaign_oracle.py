@@ -18,67 +18,67 @@ from qbench.store import JobRecord, JobStore
 
 
 def oracle_run_campaign(cfg, store_path):
-    store = JobStore(store_path)
     providers = {p.name: SimProvider(p) for p in cfg.targets}
     spent = {p.name: Money(0) for p in cfg.targets}
     by_status = {}
     by_target = {p.name: {"jobs": 0, "statuses": {}, "cost_usd": "$0.00"} for p in cfg.targets}
     skipped_budget = 0
     sweep_len = DAY // cfg.sweeps_per_day
-    for day in range(cfg.days):
-        for sweep in range(cfg.sweeps_per_day):
-            idx = 0
-            for profile in cfg.targets:
-                provider = providers[profile.name]
-                for q in cfg.qubits:
-                    clock = day * DAY + sweep * sweep_len + idx * SUBMIT_SPACING
-                    idx += 1
-                    if cfg.budget_cap is not None and spent[profile.name] >= cfg.budget_cap:
-                        skipped_budget += 1
-                        continue
-                    job_seed = derive_seed(cfg.seed, day, sweep, profile.name, q)
-                    n = random_input(q, job_seed)
-                    circuit = build_benchmark(q, n, seed=job_seed)
-                    job_id = f"{profile.name}-d{day:02d}s{sweep}-q{q:02d}"
-                    handle = provider.submit(
-                        circuit, cfg.shots, clock, seed=job_seed, job_id=job_id
-                    )
-                    poll_clock = handle.exec_end if handle.exec_end is not None else clock
-                    result = provider.poll(handle, poll_clock)
-                    cost = provider.job_cost(handle)
-                    fidelity = success = None
-                    if result.status is JobStatus.PROCESSED:
-                        score = benchmark_fidelity(result.counts, q, n)
-                        fidelity, success = score.value, score.success
-                    processed = result.status is JobStatus.PROCESSED
-                    store.append(
-                        JobRecord(
-                            job_id=job_id,
-                            cloud=profile.cloud,
-                            target=profile.name,
-                            qubits=q,
-                            shots=cfg.shots,
-                            seed=job_seed,
-                            submitted_at=clock,
-                            status=result.status,
-                            cost=cost,
-                            executed_at=handle.exec_end if processed else None,
-                            predicted_wait=handle.predicted_wait,
-                            actual_wait=handle.actual_wait if processed else None,
-                            census=handle.census,
-                            counts=result.counts,
-                            fidelity=fidelity,
-                            success=success,
-                            error_message=result.error_message,
+    with JobStore(store_path) as store:
+        for day in range(cfg.days):
+            for sweep in range(cfg.sweeps_per_day):
+                idx = 0
+                for profile in cfg.targets:
+                    provider = providers[profile.name]
+                    for q in cfg.qubits:
+                        clock = day * DAY + sweep * sweep_len + idx * SUBMIT_SPACING
+                        idx += 1
+                        if cfg.budget_cap is not None and spent[profile.name] >= cfg.budget_cap:
+                            skipped_budget += 1
+                            continue
+                        job_seed = derive_seed(cfg.seed, day, sweep, profile.name, q)
+                        n = random_input(q, job_seed)
+                        circuit = build_benchmark(q, n, seed=job_seed)
+                        job_id = f"{profile.name}-d{day:02d}s{sweep}-q{q:02d}"
+                        handle = provider.submit(
+                            circuit, cfg.shots, clock, seed=job_seed, job_id=job_id
                         )
-                    )
-                    spent[profile.name] = spent[profile.name] + cost
-                    by_status[result.status.value] = by_status.get(result.status.value, 0) + 1
-                    slot = by_target[profile.name]
-                    slot["jobs"] += 1
-                    slot["statuses"][result.status.value] = (
-                        slot["statuses"].get(result.status.value, 0) + 1
-                    )
+                        poll_clock = handle.exec_end if handle.exec_end is not None else clock
+                        result = provider.poll(handle, poll_clock)
+                        cost = provider.job_cost(handle)
+                        fidelity = success = None
+                        if result.status is JobStatus.PROCESSED:
+                            score = benchmark_fidelity(result.counts, q, n)
+                            fidelity, success = score.value, score.success
+                        processed = result.status is JobStatus.PROCESSED
+                        store.append(
+                            JobRecord(
+                                job_id=job_id,
+                                cloud=profile.cloud,
+                                target=profile.name,
+                                qubits=q,
+                                shots=cfg.shots,
+                                seed=job_seed,
+                                submitted_at=clock,
+                                status=result.status,
+                                cost=cost,
+                                executed_at=handle.exec_end if processed else None,
+                                predicted_wait=handle.predicted_wait,
+                                actual_wait=handle.actual_wait if processed else None,
+                                census=handle.census,
+                                counts=result.counts,
+                                fidelity=fidelity,
+                                success=success,
+                                error_message=result.error_message,
+                            )
+                        )
+                        spent[profile.name] = spent[profile.name] + cost
+                        by_status[result.status.value] = by_status.get(result.status.value, 0) + 1
+                        slot = by_target[profile.name]
+                        slot["jobs"] += 1
+                        slot["statuses"][result.status.value] = (
+                            slot["statuses"].get(result.status.value, 0) + 1
+                        )
     total = Money(0)
     for name, m in spent.items():
         by_target[name]["cost_usd"] = str(m)

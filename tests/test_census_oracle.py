@@ -1,14 +1,20 @@
 """``lowered_census`` against the lowerings it stands in for.
 
 A campaign bills, gate-limits and samples noise from ``lowered_census``,
-which counts source gates by kind and never lowers one.  It must equal the
-census of ``transpile``'s output and of the oracle lowering, for the
-benchmark at every width a preset admits and for circuits of every gate kind
-at edge-case angles, in both target orders.
+which never lowers a gate.  It must equal the census of ``transpile``'s
+output and of the oracle lowering, for the benchmark at every width a preset
+admits and for circuits of every gate kind at edge-case angles, in both
+target orders.
+
+A recognised benchmark's census is its width's cached body census plus one
+X row per set input bit.  ``oracle_lowered_census`` is the path it replaced:
+every gate counted by kind.  The two must agree on every benchmark, and a
+circuit that only resembles a benchmark must still be counted gate by gate.
 """
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,11 +23,17 @@ from qbench.circuit import (
     PARAMETRIC_KINDS,
     Circuit,
     Gate,
+    GateCensus,
     GateKind,
+    _benchmark_body,
+    _x_prefix,
+    benchmark_input,
     build_benchmark,
     census,
+    inverse,
+    random_input,
 )
-from qbench.transpiler import EFFICIENT, REDUNDANT, lowered_census, transpile
+from qbench.transpiler import EFFICIENT, REDUNDANT, _census_per_kind, lowered_census, transpile
 from test_lowering_oracle import inputs, oracle_census, oracle_transpile
 
 PROFILES = pytest.mark.parametrize("profile", [EFFICIENT, REDUNDANT], ids=lambda p: p.name)
@@ -64,3 +76,51 @@ def test_random_circuit_census_matches_lowering(seed, profile):
             theta = rng.choice(ANGLES + (rng.uniform(-10, 10),))
         gates.append(Gate(kind, targets, theta))
     assert_census_matches_lowering(Circuit(5, tuple(gates)), profile)
+
+
+def oracle_lowered_census(circuit, profile):
+    """Every gate counted by kind, times what one gate of that kind lowers to."""
+    table = _census_per_kind(profile)
+    n_1q = n_2q = 0
+    for kind, count in Counter(g.kind for g in circuit.gates).items():
+        per_1q, per_2q = table[kind]
+        n_1q += per_1q * count
+        n_2q += per_2q * count
+    return GateCensus(n_1q=n_1q, n_2q=n_2q)
+
+
+@PROFILES
+@pytest.mark.parametrize("q", range(1, 61))
+def test_recognised_benchmark_census_matches_the_gate_count(q, profile):
+    for n in sorted({0, (1 << q) - 1, random_input(q, q)}):
+        circuit = build_benchmark(q, n)
+        assert benchmark_input(circuit) == n
+        assert lowered_census(circuit, profile) == oracle_lowered_census(circuit, profile)
+
+
+def look_alikes(q):
+    """Circuits carrying ``build_benchmark(q, n)``'s metadata whose gates are not its gates."""
+    n = random_input(q, 5) | 1 | (1 << (q - 1))  # the lowest and highest bit set
+    built = build_benchmark(q, n)
+    prefix, body = _x_prefix(q, n), _benchmark_body(q)
+    middle = len(body) // 2
+    cases = {
+        "duplicated-x": prefix[:1] + prefix + body,
+        "dropped-body-gate": prefix + body[:middle] + body[middle + 1 :],
+        "extra-trailing-gate": built.gates + (Gate(GateKind.H, (0,)),),
+        "inverse-body": prefix + tuple(inverse(body)),
+        "x-prefix-alone": prefix,
+    }
+    if len(prefix) > 1:
+        cases["x-out-of-order"] = prefix[::-1] + body
+    return {name: Circuit(q, gates, built.metadata) for name, gates in cases.items()}
+
+
+@PROFILES
+@pytest.mark.parametrize("q", range(1, 13))
+def test_look_alikes_are_counted_gate_by_gate(q, profile):
+    for name, circuit in look_alikes(q).items():
+        assert benchmark_input(circuit) is None, name
+        want = transpile(circuit, profile).census
+        assert lowered_census(circuit, profile) == oracle_lowered_census(circuit, profile) == want
+

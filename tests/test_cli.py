@@ -293,11 +293,11 @@ def _export_ids(store_path, tmp_path, *filters):
 @pytest.fixture
 def typed_store(tmp_path):
     path = tmp_path / "typed.jsonl"
-    store = JobStore(path)
-    store.append(make_record(1, job_id="000123"))
-    store.append(make_record(2, job_id="123"))
-    store.append(processed_record(3, cost=Money.from_usd("1.03")))
-    store.append(processed_record(4, fidelity=0.25, cost=Money.from_usd("15.30")))
+    with JobStore(path) as store:
+        store.append(make_record(1, job_id="000123"))
+        store.append(make_record(2, job_id="123"))
+        store.append(processed_record(3, cost=Money.from_usd("1.03")))
+        store.append(processed_record(4, fidelity=0.25, cost=Money.from_usd("15.30")))
     return path
 
 

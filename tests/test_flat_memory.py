@@ -50,15 +50,15 @@ def _mixed_records():
 
 
 def test_id_store_writes_what_job_store_writes_and_keeps_only_ids(tmp_path):
-    kept, ids = JobStore(tmp_path / "kept.jsonl"), _IdStore(tmp_path / "ids.jsonl")
-    for record in _mixed_records():
-        kept.append(record)
-        ids.append(record)
-    assert (tmp_path / "ids.jsonl").read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
-    assert len(ids) == 4 and "job-0003" in ids and "job-0004" not in ids
-    assert set(ids._records.values()) == {None}
-    with pytest.raises(StoreError, match="duplicate job_id job-0001"):
-        ids.append(processed_record(1))
+    with JobStore(tmp_path / "kept.jsonl") as kept, _IdStore(tmp_path / "ids.jsonl") as ids:
+        for record in _mixed_records():
+            kept.append(record)
+            ids.append(record)
+        assert (tmp_path / "ids.jsonl").read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+        assert len(ids) == 4 and "job-0003" in ids and "job-0004" not in ids
+        assert set(ids._records.values()) == {None}
+        with pytest.raises(StoreError, match="duplicate job_id job-0001"):
+            ids.append(processed_record(1))
 
     reopened = _IdStore(tmp_path / "kept.jsonl")
     assert len(reopened) == 4 and "job-0002" in reopened
@@ -68,8 +68,8 @@ def test_id_store_writes_what_job_store_writes_and_keeps_only_ids(tmp_path):
 
 
 def test_id_store_get_of_a_held_id_is_a_store_error(tmp_path):
-    ids = _IdStore(tmp_path / "ids.jsonl")
-    ids.append(make_record(0))
+    with _IdStore(tmp_path / "ids.jsonl") as ids:
+        ids.append(make_record(0))
     assert "job-0000" in ids
     with pytest.raises(StoreError, match="no record 'job-0000'"):
         ids.get("job-0000")

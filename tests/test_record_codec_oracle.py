@@ -181,9 +181,9 @@ def test_from_dict_reads_oracle_objects(fixture):
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
 def test_store_lines_match_oracle(fixture, tmp_path):
     records = FIXTURES[fixture]()
-    store = JobStore(tmp_path / "log.jsonl")
-    for r in records:
-        store.append(r)
+    with JobStore(tmp_path / "log.jsonl") as store:
+        for r in records:
+            store.append(r)
     want = "".join(_line(oracle_to_dict(r)) + "\n" for r in records)
     assert (tmp_path / "log.jsonl").read_text() == want
     assert list(JobStore(tmp_path / "log.jsonl").records()) == records

@@ -1,10 +1,12 @@
 """Differential oracles for per-job sampling and scoring.
 
-``oracle_sample_depolarized`` renders each scrambled outcome with ``format``
-and folds both shot groups into one dict through ``oracle_merge``;
-``oracle_hellinger_fidelity`` sums over the union of both supports.  Those
-were the per-outcome Python paths before rendering became one numpy pass
-(``simulator._bitstrings``) and scoring a sum over the shared support;
+``oracle_sample_depolarized`` draws the clean shots through
+``oracle_sample_from_distribution``, renders each scrambled outcome with
+``format``, folds both shot groups into one dict through ``oracle_merge`` and
+sorts it; ``oracle_hellinger_fidelity`` sums over the union of both supports.
+Those were the per-outcome Python paths before rendering became one numpy
+pass (``simulator._bitstrings``), both shot groups one ``np.unique`` tally, and
+scoring a sum over the shared support;
 ``oracle_sample``, ``oracle_ideal_distribution`` and the kernel oracle's
 trajectory loop render the same way.  The fast paths must give the same
 counts in the same key order, the same ideal distributions, and, for a
@@ -38,7 +40,6 @@ from qbench.simulator import (
     GlobalDepolarizing,
     PauliTrajectory,
     _bitstrings,
-    _sample_from_distribution,
     ideal_distribution,
     run_noisy,
     run_statevector,
@@ -52,6 +53,14 @@ from test_kernel_oracle import oracle_run_trajectories
 def oracle_merge(dst, src):
     for k, v in src.items():
         dst[k] = dst.get(k, 0) + v
+
+
+def oracle_sample_from_distribution(dist, shots, rng):
+    keys = sorted(dist)
+    pvals = np.array([dist[k] for k in keys], dtype=float)
+    pvals = pvals / pvals.sum()
+    hits = rng.multinomial(shots, pvals)
+    return {k: int(c) for k, c in zip(keys, hits) if c}
 
 
 def oracle_ideal_distribution(circuit):
@@ -70,7 +79,7 @@ def oracle_sample_depolarized(circuit, n_2q, noise, shots, seed):
     clean = int(rng.binomial(shots, p_clean)) if shots else 0
     counts = {}
     if clean:
-        oracle_merge(counts, _sample_from_distribution(ideal, clean, rng))
+        oracle_merge(counts, oracle_sample_from_distribution(ideal, clean, rng))
     scrambled = shots - clean
     if scrambled:
         draws = rng.integers(0, 1 << circuit.width, size=scrambled)

@@ -51,6 +51,14 @@ def processed_record(i, fidelity=0.9, cost=Money.from_usd("15.30"), **over):
     return make_record(i, **fields)
 
 
+def write_store(path, records):
+    """A store at ``path`` that appended ``records``; its append handle is closed."""
+    with JobStore(path) as store:
+        for r in records:
+            store.append(r)
+    return store
+
+
 def test_round_trip_value_equal(tmp_path):
     path = tmp_path / "log.jsonl"
     originals = [
@@ -61,9 +69,7 @@ def test_round_trip_value_equal(tmp_path):
         make_record(4, status=JobStatus.ERROR, error_message="gate count 3582 over limit"),
         processed_record(5, fidelity=0.25, cost=Money.from_usd("1.03")),
     ]
-    store = JobStore(path)
-    for r in originals:
-        store.append(r)
+    write_store(path, originals)
     reopened = JobStore(path)
     assert list(reopened.records()) == originals
     assert len(reopened) == len(originals)
@@ -79,7 +85,7 @@ def test_get_missing_raises(tmp_path):
 
 def test_lines_are_canonical_json(tmp_path):
     path = tmp_path / "log.jsonl"
-    JobStore(path).append(processed_record(0))
+    write_store(path, [processed_record(0)])
     raw = path.read_text().splitlines()
     assert len(raw) == 1
     obj = json.loads(raw[0])
@@ -89,16 +95,15 @@ def test_lines_are_canonical_json(tmp_path):
 
 
 def test_duplicate_append_rejected(tmp_path):
-    store = JobStore(tmp_path / "log.jsonl")
-    store.append(make_record(0))
-    with pytest.raises(StoreError):
-        store.append(make_record(0, shots=7))
+    with JobStore(tmp_path / "log.jsonl") as store:
+        store.append(make_record(0))
+        with pytest.raises(StoreError):
+            store.append(make_record(0, shots=7))
 
 
 def test_duplicate_line_in_file_rejected(tmp_path):
     path = tmp_path / "log.jsonl"
-    store = JobStore(path)
-    store.append(make_record(0))
+    write_store(path, [make_record(0)])
     line = path.read_text()
     with open(path, "a") as fh:
         fh.write(line)
@@ -108,23 +113,20 @@ def test_duplicate_line_in_file_rejected(tmp_path):
 
 def test_torn_tail_is_dropped_and_repaired(tmp_path):
     path = tmp_path / "log.jsonl"
-    store = JobStore(path)
-    for i in range(5):
-        store.append(make_record(i))
+    write_store(path, [make_record(i) for i in range(5)])
     with open(path, "ab") as fh:
         fh.write(b'{"job_id": "job-9999", "cloud": "SimA')  # crash mid-write
-    recovered = JobStore(path)
-    assert len(recovered) == 5
-    assert path.read_bytes().endswith(b"\n")
-    # the repair is durable: appending continues cleanly
-    recovered.append(make_record(5))
+    with JobStore(path) as recovered:
+        assert len(recovered) == 5
+        assert path.read_bytes().endswith(b"\n")
+        # the repair is durable: appending continues cleanly
+        recovered.append(make_record(5))
     assert len(JobStore(path)) == 6
 
 
 def test_corrupt_complete_line_is_an_error(tmp_path):
     path = tmp_path / "log.jsonl"
-    store = JobStore(path)
-    store.append(make_record(0))
+    write_store(path, [make_record(0)])
     with open(path, "a") as fh:
         fh.write("this is not json\n")
     with pytest.raises(StoreError) as err:
@@ -134,7 +136,7 @@ def test_corrupt_complete_line_is_an_error(tmp_path):
 
 def test_line_that_is_not_utf8_names_path_and_line(tmp_path):
     path = tmp_path / "log.jsonl"
-    JobStore(path).append(make_record(0))
+    write_store(path, [make_record(0)])
     with open(path, "ab") as fh:
         fh.write(b'{"job_id":"\xff"}\n')
     with pytest.raises(StoreError, match=f"^{path}:2: record line is not UTF-8$"):
@@ -143,7 +145,7 @@ def test_line_that_is_not_utf8_names_path_and_line(tmp_path):
 
 def test_failed_open_leaves_the_file_as_it_was(tmp_path):
     path = tmp_path / "log.jsonl"
-    JobStore(path).append(make_record(0))
+    write_store(path, [make_record(0)])
     with open(path, "ab") as fh:
         fh.write(b"this is not json\n" + b'{"job_id": "job-9999", "cloud": "SimA')
     before = path.read_bytes()
@@ -171,8 +173,13 @@ def test_append_validates(tmp_path):
     assert len(store) == 0
 
 
-# records whose stored form the open refuses, though each passes its own validate()
+# records whose stored form the open refuses; most pass their own validate()
 APPEND_REFUSES = {
+    # a job that never ran holds no result, not even one of the three
+    "error-with-fidelity": make_record(0, status=JobStatus.ERROR, fidelity=0.5),
+    "unavailable-with-results": make_record(
+        0, status=JobStatus.UNAVAILABLE, success=False, counts={"0": 1}
+    ),
     "bool-predicted-wait": make_record(0, predicted_wait=True),
     "int-cloud": make_record(0, cloud=5),
     "float-cost": make_record(0, cost=Money(1.5)),
@@ -193,11 +200,11 @@ KEYS_NO_LINE_HOLDS = {"int-count-key", "mixed-count-keys"}
 def test_append_refuses_what_the_open_refuses(tmp_path, case):
     record = APPEND_REFUSES[case]
     path = tmp_path / "log.jsonl"
-    store = JobStore(path)
-    store.append(make_record(1))
-    before = path.read_bytes()
-    with pytest.raises(StoreError) as refused:
-        store.append(record)
+    with JobStore(path) as store:
+        store.append(make_record(1))
+        before = path.read_bytes()
+        with pytest.raises(StoreError) as refused:
+            store.append(record)
     assert path.read_bytes() == before
     assert record.job_id not in store and len(JobStore(path)) == 1
     if case in KEYS_NO_LINE_HOLDS:
@@ -231,8 +238,8 @@ def test_non_finite_wait_is_refused_by_append_and_by_the_open(tmp_path, field, v
 
 def test_append_holds_the_record_a_reopen_reads(tmp_path):
     path = tmp_path / "log.jsonl"
-    store = JobStore(path)
-    store.append(make_record(0, status="error", cost=5))  # stored forms, not the field types
+    with JobStore(path) as store:
+        store.append(make_record(0, status="error", cost=5))  # stored forms, not the field types
     held = store.get("job-0000")
     assert held.status is JobStatus.ERROR and held.cost == Money(5)
     assert JobStore(path).get("job-0000") == held
@@ -313,18 +320,15 @@ def _scan(records, filters):
 
 
 def test_query_matches_linear_scan_oracle(tmp_path):
-    store = JobStore(tmp_path / "log.jsonl")
     fixture = _random_fixture(300)
-    for r in fixture:
-        store.append(r)
+    store = write_store(tmp_path / "log.jsonl", fixture)
     for filters in FILTER_BATTERY:
         assert store.query(**filters) == _scan(fixture, filters), filters
     assert store.query() == _scan(fixture, {})
 
 
 def test_query_rejects_unknown_fields_and_ops(tmp_path):
-    store = JobStore(tmp_path / "log.jsonl")
-    store.append(make_record(0))
+    store = write_store(tmp_path / "log.jsonl", [make_record(0)])
     with pytest.raises(StoreError):
         store.query(flavor="salty")
     with pytest.raises(StoreError):
@@ -332,11 +336,14 @@ def test_query_rejects_unknown_fields_and_ops(tmp_path):
 
 
 def _money_store(tmp_path):
-    store = JobStore(tmp_path / "log.jsonl")
-    store.append(make_record(0))
-    store.append(processed_record(1, cost=Money.from_usd("1.03")))
-    store.append(processed_record(2, cost=Money.from_usd("15.30")))
-    return store
+    return write_store(
+        tmp_path / "log.jsonl",
+        [
+            make_record(0),
+            processed_record(1, cost=Money.from_usd("1.03")),
+            processed_record(2, cost=Money.from_usd("15.30")),
+        ],
+    )
 
 
 def test_query_equality_accepts_money(tmp_path):
@@ -354,20 +361,22 @@ def test_query_range_accepts_money(tmp_path):
 
 
 def test_query_accepts_job_status_values(tmp_path):
-    store = JobStore(tmp_path / "log.jsonl")
-    store.append(make_record(0))
-    store.append(processed_record(1))
-    store.append(make_record(2, status=JobStatus.ERROR, error_message="too wide"))
+    store = write_store(
+        tmp_path / "log.jsonl",
+        [
+            make_record(0),
+            processed_record(1),
+            make_record(2, status=JobStatus.ERROR, error_message="too wide"),
+        ],
+    )
     assert [r.job_id for r in store.query(status=JobStatus.ERROR)] == ["job-0002"]
     assert store.query(status=JobStatus.PROCESSED) == store.query(status="processed")
     assert store.query(status=JobStatus.CANCELED) == []
 
 
 def test_export_csv_round_trip(tmp_path):
-    store = JobStore(tmp_path / "log.jsonl")
     tricky = processed_record(0, error_message='queue said "later", twice')
-    store.append(tricky)
-    store.append(make_record(1))
+    store = write_store(tmp_path / "log.jsonl", [tricky, make_record(1)])
     out = tmp_path / "dump.csv"
     rows = store.export_csv(out)
     assert rows == 2
@@ -381,9 +390,7 @@ def test_export_csv_round_trip(tmp_path):
 
 
 def test_export_csv_columns_and_filters(tmp_path):
-    store = JobStore(tmp_path / "log.jsonl")
-    for r in _random_fixture(40, seed=3):
-        store.append(r)
+    store = write_store(tmp_path / "log.jsonl", _random_fixture(40, seed=3))
     out = tmp_path / "dump.csv"
     rows = store.export_csv(out, columns=["job_id", "status"], status="processed")
     with open(out, newline="") as fh:
@@ -437,6 +444,8 @@ MALFORMED_EDITS = {
     "census-extra-key": lambda obj: obj["census"].update(n_3q=0),
     "predicted-wait-nan": lambda obj: obj.update(predicted_wait=math.nan),
     "actual-wait-infinity": lambda obj: obj.update(actual_wait=math.inf),
+    "error-with-fidelity": lambda obj: obj.update(status="error", counts=None, success=None),
+    "unavailable-with-results": lambda obj: obj.update(status="unavailable", cost=0, fidelity=None),
 }
 
 
@@ -509,8 +518,8 @@ def test_store_appends_through_one_handle_until_closed(tmp_path, monkeypatch):
         assert not appender.closed
     assert appender.closed
     store.close()  # closing twice is harmless
-    store.append(make_record(3))  # and a later append opens the file again
-    store.close()
+    with store:
+        store.append(make_record(3))  # and a later append opens the file again
     assert len(opens.appenders()) == 2 and all(fh.closed for fh in opens.appenders())
     assert [r.job_id for r in JobStore(path).records()] == [f"job-{i:04d}" for i in range(4)]
 

@@ -126,12 +126,12 @@ def campaign_store(tmp_path_factory):
 
 
 def tricky_store(path):
-    store = JobStore(path)
-    for r in every_status_records():
-        store.append(r)
     messages = ['queue said "later", twice', "line\nbreak", "cr\rhere", "", "ünï,cödé\0"]
-    for i, message in enumerate(messages, start=100):
-        store.append(make_record(i, status=JobStatus.ERROR, error_message=message))
+    with JobStore(path) as store:
+        for r in every_status_records():
+            store.append(r)
+        for i, message in enumerate(messages, start=100):
+            store.append(make_record(i, status=JobStatus.ERROR, error_message=message))
     return path
 
 

@@ -48,13 +48,13 @@ def _record(i):
 
 def test_concurrent_appends_write_every_line_whole(tmp_path):
     path = tmp_path / "log.jsonl"
-    store = JobStore(path)
+    with JobStore(path) as store:
 
-    def work(t):
-        for k in range(PER_THREAD):
-            store.append(_record(t * PER_THREAD + k))
+        def work(t):
+            for k in range(PER_THREAD):
+                store.append(_record(t * PER_THREAD + k))
 
-    assert _run_together(work) == [None] * THREADS
+        assert _run_together(work) == [None] * THREADS
     total = THREADS * PER_THREAD
     lines = path.read_bytes().split(b"\n")
     assert lines[-1] == b"" and len(lines) == total + 1
@@ -66,8 +66,8 @@ def test_concurrent_appends_write_every_line_whole(tmp_path):
 
 def test_concurrent_appends_of_one_id_admit_exactly_one(tmp_path):
     path = tmp_path / "log.jsonl"
-    store = JobStore(path)
-    raised = _run_together(lambda t: store.append(make_record(0, seed=t)))
+    with JobStore(path) as store:
+        raised = _run_together(lambda t: store.append(make_record(0, seed=t)))
     assert raised.count(None) == 1
     assert all(isinstance(exc, StoreError) for exc in raised if exc is not None)
     assert len(path.read_bytes().splitlines()) == 1 and len(JobStore(path)) == 1
