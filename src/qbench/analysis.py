@@ -51,8 +51,6 @@ def classify_success(fidelity: float) -> bool:
 @dataclass(frozen=True)
 class FidelityScore:
     value: float
-    shots: int
-    reference: str
 
     @property
     def success(self) -> bool:
@@ -61,11 +59,7 @@ class FidelityScore:
 
 def benchmark_fidelity(counts: Mapping[str, int], q: int, n: int) -> FidelityScore:
     """Score measured counts against the analytic benchmark output delta."""
-    target = ideal_output(q, n)
-    value = hellinger_fidelity(counts, {target: 1.0})
-    return FidelityScore(
-        value=value, shots=int(sum(counts.values())), reference=f"fourier_adder:{target}"
-    )
+    return FidelityScore(hellinger_fidelity(counts, {ideal_output(q, n): 1.0}))
 
 
 def debias_uniform_floor(observed: float, q: int) -> float:

@@ -6,9 +6,10 @@ Subcommands
     report KIND --out FILE         write one analysis CSV from the log
     store export --out FILE        dump the log (optionally filtered) as CSV
 
-Exit codes: 0 success, 2 configuration problem, 3 store problem, 4 empty
-report.  The store path resolves as --store flag, then the config file's
-``store`` key (campaign only), then $QBENCH_STORE, then ./qbench_jobs.jsonl.
+Exit codes: 0 success, 2 configuration or usage problem (an ``--out`` that
+cannot be written included), 3 store problem, 4 empty report.  The store
+path resolves as --store flag, then the config file's ``store`` key
+(campaign only), then $QBENCH_STORE, then ./qbench_jobs.jsonl.
 Only ``campaign run`` creates a missing store; the read-only commands exit 3.
 """
 
@@ -84,6 +85,8 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
     return values
 
 
+_CAMPAIGN_KEYS = {"qubits", "shots", "days", "sweeps_per_day", "seed", "budget_cap", "store"}
+
 # queue override key -> QueueModel field
 _QUEUE_KEYS = {"queue_mu": "mu", "queue_sigma": "sigma", "queue_bias": "predictor_bias"}
 _OVERRIDE_KEYS = {"f_2qg", "gate_limit", "qubits", "execution_seconds", *_QUEUE_KEYS}
@@ -109,6 +112,22 @@ def _apply_overrides(profile: TargetProfile, section) -> TargetProfile:
     return dataclasses.replace(profile, **changes)
 
 
+def _check_names(parser: configparser.ConfigParser, use: list[str]) -> None:
+    """Refuse a key or section that no setting reads, so a typo is no silent default."""
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] keys are not read: {sorted(parser.defaults())}")
+    for section, known in (("campaign", _CAMPAIGN_KEYS), ("targets", {"use"})):
+        unknown = set(parser[section]) - known
+        if unknown:
+            raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    overrides = {f"target:{name}" for name in use}
+    for section in parser.sections():
+        if section.startswith("target:") and section not in overrides:
+            raise ConfigError(f"[{section}] overrides a target not in [targets] use =")
+        if section not in ("campaign", "targets", *overrides):
+            raise ConfigError(f"unknown section [{section}]")
+
+
 def load_config(path: str) -> CampaignConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -121,6 +140,8 @@ def load_config(path: str) -> CampaignConfig:
     if "campaign" not in parser or "targets" not in parser:
         raise ConfigError("config needs [campaign] and [targets] sections")
     camp = parser["campaign"]
+    use = [p.strip() for p in parser["targets"].get("use", "").split(",") if p.strip()]
+    _check_names(parser, use)
     try:
         qubits = _parse_qubits(camp.get("qubits", "8..16:2"))
         shots = camp.getint("shots", 500)
@@ -132,7 +153,6 @@ def load_config(path: str) -> CampaignConfig:
         )
         cap_text = camp.get("budget_cap", "").strip()
         budget_cap = Money.from_usd(cap_text) if cap_text else None
-        use = [p.strip() for p in parser["targets"].get("use", "").split(",") if p.strip()]
         if not use:
             raise ConfigError("[targets] use = must list at least one preset")
         twice = sorted({name for name in use if use.count(name) > 1})
@@ -365,7 +385,10 @@ def cmd_jobs_poll(args) -> int:
 def cmd_report(args) -> int:
     filters = _parse_filters(args.filter)
     records = _open_store(args.store).query(**filters)
-    rows = write_report(args.kind, records, args.out)
+    try:
+        rows = write_report(args.kind, records, args.out)
+    except OSError as exc:  # a missing parent directory, a directory, no permission
+        raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     if rows == 0:
         print(f"report {args.kind}: no matching rows", file=sys.stderr)
         return 4
@@ -377,7 +400,11 @@ def cmd_report(args) -> int:
 def cmd_store_export(args) -> int:
     columns = [c.strip() for c in args.columns.split(",")] if args.columns else None
     filters = _parse_filters(args.filter)
-    rows = _open_store(args.store).export_csv(args.out, columns=columns, **filters)
+    store = _open_store(args.store)
+    try:
+        rows = store.export_csv(args.out, columns=columns, **filters)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     if rows == 0:
         print("store export: no matching rows", file=sys.stderr)
         return 4

@@ -118,43 +118,12 @@ class AlwaysSchedule:
 
 
 @dataclass(frozen=True)
-class DailyWindowSchedule:
-    """Available inside a daily [start, end) second-of-day window, else ``outside``.
-
-    The window may wrap midnight (start > end), e.g. an evening-to-early-morning
-    operations window.
-    """
-
-    start: int
-    end: int
-    outside: TargetStatus = ACCEPT_HOLD
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < DAY and 0 <= self.end < DAY):
-            raise ValueError("window start and end must lie within [0, DAY)")
-        if self.start == self.end:
-            raise ValueError("window start must differ from end")
-        if self.outside.state is TargetState.AVAILABLE:
-            raise ValueError("the status outside the window must not be available")
-
-    def _inside(self, clock: int) -> bool:
-        s = clock % DAY
-        if self.start <= self.end:
-            return self.start <= s < self.end
-        return s >= self.start or s < self.end
-
-    def status_at(self, clock: int) -> TargetStatus:
-        return AVAILABLE if self._inside(clock) else self.outside
-
-    def next_available_at(self, clock: int) -> int:
-        if self._inside(clock):
-            return clock
-        return clock + (self.start - clock) % DAY  # the next window start
-
-
-@dataclass(frozen=True)
 class RecurringOutageSchedule:
-    """Available except for a fixed outage slice of every period."""
+    """Available except for an outage of ``outage_len`` seconds in every period.
+
+    The outage starts ``outage_start`` seconds into each period and may run
+    past the period's end into the next one.
+    """
 
     period: int
     outage_start: int
@@ -166,27 +135,40 @@ class RecurringOutageSchedule:
             raise ValueError("period and outage_len must be positive")
         if not 0 <= self.outage_start < self.period:
             raise ValueError("outage_start must lie within the period")
-        if self.outage_start + self.outage_len > self.period:
-            raise ValueError("outage must not wrap the period")
-        if self.outage_len == self.period:
+        if self.outage_len >= self.period:
             raise ValueError("outage must leave part of the period available")
         if self.outage_status.state is TargetState.AVAILABLE:
             raise ValueError("the outage status must not be available")
 
-    def _in_outage(self, clock: int) -> bool:
-        s = clock % self.period
-        return self.outage_start <= s < self.outage_start + self.outage_len
-
     def status_at(self, clock: int) -> TargetStatus:
-        return self.outage_status if self._in_outage(clock) else AVAILABLE
+        into = (clock - self.outage_start) % self.period
+        return self.outage_status if into < self.outage_len else AVAILABLE
 
-    def next_available_at(self, clock: int) -> int | None:
-        if not self._in_outage(clock):
-            return clock
-        return clock - clock % self.period + self.outage_start + self.outage_len
+    def next_available_at(self, clock: int) -> int:
+        into = (clock - self.outage_start) % self.period
+        if into < self.outage_len:
+            return clock + self.outage_len - into  # the end of the outage
+        return clock
 
 
-Schedule = AlwaysSchedule | DailyWindowSchedule | RecurringOutageSchedule
+def DailyWindowSchedule(
+    start: int, end: int, outside: TargetStatus = ACCEPT_HOLD
+) -> RecurringOutageSchedule:
+    """Available inside a daily [start, end) second-of-day window, else ``outside``.
+
+    The window may wrap midnight (start > end), e.g. an evening-to-early-morning
+    operations window.  It is the daily outage from ``end`` to the next ``start``.
+    """
+    if not (0 <= start < DAY and 0 <= end < DAY):
+        raise ValueError("window start and end must lie within [0, DAY)")
+    if start == end:
+        raise ValueError("window start must differ from end")
+    if outside.state is TargetState.AVAILABLE:
+        raise ValueError("the status outside the window must not be available")
+    return RecurringOutageSchedule(DAY, end, (start - end) % DAY, outside)
+
+
+Schedule = AlwaysSchedule | RecurringOutageSchedule
 
 
 # --- queue model ---------------------------------------------------------------
@@ -368,8 +350,6 @@ class SimProvider:
     def _next_runnable(self, clock: int, width: int) -> int | None:
         """Earliest instant >= clock when the target will actually run a job."""
         status = self.target.schedule.status_at(clock)
-        if status.state is TargetState.AVAILABLE:
-            return clock
         if status.degraded is DegradedKind.REDUCED_CAPACITY and width <= status.reduced_width:
             return clock  # degraded but still running jobs of this width
         return self.target.schedule.next_available_at(clock)

@@ -101,12 +101,16 @@ class JobRecord:
         if processed:
             if sum(self.counts.values()) != self.shots:
                 raise StoreError(f"{self.job_id}: counts do not sum to shots")
+            if min(self.counts.values()) < 1:  # not empty: the counts sum to shots >= 1
+                raise StoreError(f"{self.job_id}: counts hold a count below 1")
             if not 0.0 <= self.fidelity <= 1.0:
                 raise StoreError(f"{self.job_id}: fidelity outside [0, 1]")
             if self.success != (self.fidelity >= SUCCESS_THRESHOLD):
                 raise StoreError(f"{self.job_id}: success flag contradicts fidelity")
             if self.executed_at is None:
                 raise StoreError(f"{self.job_id}: processed record missing executed_at")
+            if self.census is None:
+                raise StoreError(f"{self.job_id}: processed record missing census")
         if self.status is JobStatus.UNAVAILABLE and self.cost.micros != 0:
             raise StoreError(f"{self.job_id}: unavailable submissions cost nothing")
 

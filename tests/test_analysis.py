@@ -65,7 +65,6 @@ class TestBenchmarkScore:
         counts = {"00101": 500}
         score = benchmark_fidelity(counts, 5, 4)  # ideal_output(5, 4) = 00101
         assert score.value == 1.0
-        assert score.shots == 500
         assert score.success
 
     def test_scrambled_counts_score_near_zero(self):

@@ -167,6 +167,29 @@ def test_budget_cap_that_is_not_finite_is_exit_2(tmp_path):
     assert not store_path.exists()
 
 
+ONE_TARGET = "[campaign]\nqubits = 4\n[targets]\nuse = garnet-aws\n"
+
+# a config line no setting reads, and what the error must name
+CONFIG_TYPOS = {
+    "campaign-key": (ONE_TARGET.replace("qubits = 4", "qubits = 4\nshot = 7"), "['shot']"),
+    "targets-key": (ONE_TARGET + "uses = h1-azure\n", "['uses']"),
+    "override-not-in-use": (ONE_TARGET + "[target:garnett-aws]\nf_2qg = 0.9\n", "garnett-aws"),
+    "unknown-section": (ONE_TARGET + "[targetz]\nuse = h1-azure\n", "[targetz]"),
+    "default-key": ("[DEFAULT]\nshots = 7\n" + ONE_TARGET, "[DEFAULT] keys are not read"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_TYPOS))
+def test_config_key_or_section_no_setting_reads_is_exit_2(tmp_path, case):
+    body, named = CONFIG_TYPOS[case]
+    cfg = write_config(tmp_path / "c.ini", body)
+    store_path = tmp_path / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 2
+    assert err.startswith("config error: ") and named in err
+    assert not store_path.exists()
+
+
 def test_inline_comments_are_stripped(tmp_path):
     body = """
 [campaign]
@@ -463,6 +486,27 @@ def test_read_only_command_on_a_missing_store_is_exit_3_and_creates_nothing(tmp_
     assert code == 3
     assert f"store error: no store file at {store_path}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+UNWRITABLE_OUTS = {
+    "missing-parent": lambda tmp_path: tmp_path / "missing_dir" / "t.csv",
+    "a-directory": lambda tmp_path: tmp_path,
+}
+
+
+@pytest.mark.parametrize("out", sorted(UNWRITABLE_OUTS))
+@pytest.mark.parametrize("command", ["report", "store-export"])
+def test_out_that_cannot_be_written_is_exit_2(tmp_path, command, out):
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    store_path = tmp_path / "run.jsonl"
+    assert run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)[0] == 0
+    out_path = UNWRITABLE_OUTS[out](tmp_path)
+    args = (*READ_ONLY_COMMANDS[command], str(out_path))
+    code, stdout, err = run_cli("--store", str(store_path), *args)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write --out {out_path}: ")
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "run.jsonl"]
 
 
 def test_campaign_run_creates_a_missing_store(tmp_path):

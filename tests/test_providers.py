@@ -78,8 +78,20 @@ def test_recurring_outage():
 def test_recurring_outage_validation():
     with pytest.raises(ValueError):
         RecurringOutageSchedule(period=10, outage_start=12, outage_len=1)
-    with pytest.raises(ValueError):
-        RecurringOutageSchedule(period=10, outage_start=8, outage_len=5)
+
+
+def test_recurring_outage_may_run_into_the_next_period():
+    s = RecurringOutageSchedule(period=10, outage_start=8, outage_len=5)
+    for clock in (0, 1, 2):  # the tail of the outage that began at -2
+        assert s.status_at(clock) is UNAVAILABLE
+        assert s.next_available_at(clock) == 3
+    for period_start in (0, 10, 70):
+        for clock in (8, 9, 10, 11, 12):
+            assert s.status_at(period_start + clock) is UNAVAILABLE
+            assert s.next_available_at(period_start + clock) == period_start + 13
+        for clock in (3, 4, 7):
+            assert s.status_at(period_start + clock) is AVAILABLE
+            assert s.next_available_at(period_start + clock) == period_start + clock
 
 
 @pytest.mark.parametrize(
@@ -134,7 +146,7 @@ def schedules(draw):
             return DailyWindowSchedule(start=start, end=end, outside=status)
         period = draw(st.integers(1, 3 * DAY))
         start = draw(st.integers(0, period - 1))
-        length = draw(st.integers(1, period - start))
+        length = draw(st.integers(1, period))  # may run past the period's end
         return RecurringOutageSchedule(period, start, length, outage_status=status)
     except ValueError:
         reject()

@@ -220,9 +220,11 @@ def records(draw):
     counts = fidelity = success = executed_at = actual_wait = None
     if status is JobStatus.PROCESSED:
         bitstrings = st.text("01", min_size=1, max_size=8)
-        keys = draw(st.lists(bitstrings, min_size=1, max_size=6, unique=True))
-        cut = st.integers(0, shots)
-        cuts = sorted(draw(st.lists(cut, min_size=len(keys) - 1, max_size=len(keys) - 1)))
+        keys = draw(st.lists(bitstrings, min_size=1, max_size=min(6, shots), unique=True))
+        # distinct cuts inside (0, shots), so every outcome is seen at least once
+        cut = st.integers(1, max(1, shots - 1))
+        n_cuts = len(keys) - 1
+        cuts = sorted(draw(st.lists(cut, min_size=n_cuts, max_size=n_cuts, unique=True)))
         counts = {k: hi - lo for k, lo, hi in zip(keys, [0, *cuts], [*cuts, shots])}
         fidelity = draw(st.floats(0, 1))
         success = fidelity >= SUCCESS_THRESHOLD
@@ -241,7 +243,7 @@ def records(draw):
         executed_at=executed_at,
         predicted_wait=draw(st.none() | st.floats(0, 1e6)),
         actual_wait=actual_wait,
-        census=draw(st.none() | CENSUSES),
+        census=draw(CENSUSES if status is JobStatus.PROCESSED else st.none() | CENSUSES),
         counts=counts,
         fidelity=fidelity,
         success=success,

@@ -190,6 +190,10 @@ APPEND_REFUSES = {
     # a line cannot hold these: JSON writes the key 6 as "6", and cannot sort 6 with "6"
     "int-count-key": processed_record(0, counts={6: 500}),
     "mixed-count-keys": processed_record(0, counts={6: 250, "6": 250}),
+    # a processed record whose counts sum to shots but hold a count below 1, or without a census
+    "negative-count": processed_record(0, counts={"0000": 501, "0001": -1}),
+    "zero-count": processed_record(0, counts={"0000": 500, "0011": 0}),
+    "processed-without-census": processed_record(0, census=None),
 }
 
 # JSON object keys are always text, so only the Python API can hand these in
@@ -429,6 +433,12 @@ def _retype_one_count(to):
     return edit
 
 
+def _counts(obj, moved):
+    """Counts summing to shots: ``moved`` added to the first outcome, taken from a new one."""
+    first = next(iter(obj["counts"]))
+    return {first: obj["counts"][first] + moved, "1" * obj["qubits"]: -moved}
+
+
 # hand edits of a valid processed record line, each one that append refuses
 MALFORMED_EDITS = {
     "qubits-as-text": lambda obj: obj.update(qubits=str(obj["qubits"])),
@@ -446,6 +456,10 @@ MALFORMED_EDITS = {
     "actual-wait-infinity": lambda obj: obj.update(actual_wait=math.inf),
     "error-with-fidelity": lambda obj: obj.update(status="error", counts=None, success=None),
     "unavailable-with-results": lambda obj: obj.update(status="unavailable", cost=0, fidelity=None),
+    # the counts still sum to shots
+    "negative-count": lambda obj: obj["counts"].update(_counts(obj, 1)),
+    "zero-count": lambda obj: obj["counts"].update(_counts(obj, 0)),
+    "processed-without-census": lambda obj: obj.update(census=None),
 }
 
 
