@@ -190,8 +190,9 @@ def _benchmark_body(q: int) -> tuple[Gate, ...]:
 def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
     """Build the q-qubit Fourier-adder benchmark on input n.
 
-    Metadata records (q, n, seed) so downstream consumers can recover the
-    analytic output distribution without re-simulating.
+    Metadata records (q, n, seed) to describe the circuit and is never
+    trusted: JSON and lowering carry it along, but no result depends on it,
+    and ``benchmark_input`` recognises a benchmark by its gates alone.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

@@ -6,10 +6,11 @@ Subcommands
     report KIND --out FILE         write one analysis CSV from the log
     store export --out FILE        dump the log (optionally filtered) as CSV
 
-Exit codes: 0 success, 2 configuration or usage problem (an ``--out`` that
-cannot be written included), 3 store problem, 4 empty report.  The store
-path resolves as --store flag, then the config file's ``store`` key
-(campaign only), then $QBENCH_STORE, then ./qbench_jobs.jsonl.
+Exit codes: 0 success; 2 configuration or usage problem, including a seed
+outside [0, 2**64) and an ``--out`` that cannot be written or that is the
+store itself; 3 store problem; 4 report or export with no matching rows.
+The store path resolves as --store flag, then the config file's ``store``
+key (campaign only), then $QBENCH_STORE, then ./qbench_jobs.jsonl.
 Only ``campaign run`` creates a missing store; the read-only commands exit 3.
 """
 
@@ -85,7 +86,7 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
     return values
 
 
-_CAMPAIGN_KEYS = {"qubits", "shots", "days", "sweeps_per_day", "seed", "budget_cap", "store"}
+_CAMPAIGN_KEYS = {f.name for f in dataclasses.fields(CampaignConfig)} - {"targets"}
 
 # queue override key -> QueueModel field
 _QUEUE_KEYS = {"queue_mu": "mu", "queue_sigma": "sigma", "queue_bias": "predictor_bias"}
@@ -172,6 +173,8 @@ def load_config(path: str) -> CampaignConfig:
         raise ConfigError("shots/days/sweeps_per_day must be positive (sweeps divide a day)")
     if budget_cap is not None and budget_cap.micros < 0:
         raise ConfigError("budget_cap must be >= 0")
+    if not 0 <= seed < 1 << 64:  # rng folds a seed to 64 bits; wider ones would alias
+        raise ConfigError(f"seed {seed} is not in [0, 2**64)")
     return CampaignConfig(
         qubits=qubits,
         shots=shots,
@@ -275,15 +278,15 @@ def _campaign_summary(store_path: str, tally: Counter, spent: dict[str, Money]) 
     }
 
 
-def _print_campaign_summary(summary: dict) -> None:
-    print(f"wrote {summary['jobs']} jobs to {summary['store']}")
+def _campaign_lines(summary: dict) -> list[str]:
+    lines = [f"wrote {summary['jobs']} jobs to {summary['store']}"]
     for status, count in summary["by_status"].items():
-        print(f"  {status:12s} {count}")
+        lines.append(f"  {status:12s} {count}")
     for name, slot in summary["by_target"].items():
-        print(f"  {name:16s} jobs={slot['jobs']} cost={slot['cost_usd']}")
+        lines.append(f"  {name:16s} jobs={slot['jobs']} cost={slot['cost_usd']}")
     if summary["skipped_budget"]:
-        print(f"  skipped (budget cap): {summary['skipped_budget']}")
-    print(f"total cost {summary['total_cost_usd']}")
+        lines.append(f"  skipped (budget cap): {summary['skipped_budget']}")
+    return lines + [f"total cost {summary['total_cost_usd']}"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -353,64 +356,63 @@ def _open_store(flag: str | None) -> JobStore:
     return JobStore(path)
 
 
+def _emit(args, summary: dict, lines: list[str]) -> None:
+    """Print a command's summary: one sorted JSON object under ``--json``, else ``lines``."""
+    print(json.dumps(summary, sort_keys=True) if args.json else "\n".join(lines))
+
+
+def _write_out(args, summary: dict, write) -> int:
+    """Run ``write(store, path)`` into ``--out`` and report its row count.
+
+    ``summary`` holds the command's name fields, which also label the exit-4
+    message.  An ``--out`` that is the store file, under any name, is refused
+    before anything is written.
+    """
+    store = _open_store(args.store)
+    if os.path.exists(args.out) and os.path.samefile(args.out, store.path):
+        raise ConfigError(f"--out {args.out} is the store {store.path}")
+    try:
+        rows = write(store, args.out)
+    except OSError as exc:  # a missing parent directory, a directory, no permission
+        raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+    if rows == 0:
+        print(f"{' '.join(summary.values())}: no matching rows", file=sys.stderr)
+        return 4
+    _emit(args, {**summary, "rows": rows, "out": args.out}, [f"wrote {rows} rows to {args.out}"])
+    return 0
+
+
 def cmd_campaign_run(args) -> int:
     cfg = load_config(args.config)
-    store_path = _resolve_store(args.store, cfg.store)
-    summary = run_campaign(cfg, store_path)
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        _print_campaign_summary(summary)
+    summary = run_campaign(cfg, _resolve_store(args.store, cfg.store))
+    _emit(args, summary, _campaign_lines(summary))
     return 0
 
 
 def cmd_jobs_poll(args) -> int:
     store = _open_store(args.store)
-    counts = Counter((r.target, r.status.value) for r in store.records())
+    counts = sorted(Counter((r.target, r.status.value) for r in store.records()).items())
     summary = {
         "command": "jobs poll",
         "jobs": len(store),
-        "by_target_status": {f"{t}/{s}": n for (t, s), n in sorted(counts.items())},
+        "by_target_status": {f"{t}/{s}": n for (t, s), n in counts},
     }
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
-    elif not counts:
-        print("no jobs in store")
-    else:
-        for (target, status), n in sorted(counts.items()):
-            print(f"{target:16s} {status:12s} {n}")
+    lines = [f"{target:16s} {status:12s} {n}" for (target, status), n in counts]
+    _emit(args, summary, lines or ["no jobs in store"])
     return 0
 
 
 def cmd_report(args) -> int:
     filters = _parse_filters(args.filter)
-    records = _open_store(args.store).query(**filters)
-    try:
-        rows = write_report(args.kind, records, args.out)
-    except OSError as exc:  # a missing parent directory, a directory, no permission
-        raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
-    if rows == 0:
-        print(f"report {args.kind}: no matching rows", file=sys.stderr)
-        return 4
-    summary = {"command": "report", "kind": args.kind, "rows": rows, "out": args.out}
-    print(json.dumps(summary, sort_keys=True) if args.json else f"wrote {rows} rows to {args.out}")
-    return 0
+    write = lambda store, out: write_report(args.kind, store.query(**filters), out)
+    return _write_out(args, {"command": "report", "kind": args.kind}, write)
 
 
 def cmd_store_export(args) -> int:
     columns = [c.strip() for c in args.columns.split(",")] if args.columns else None
     filters = _parse_filters(args.filter)
-    store = _open_store(args.store)
-    try:
-        rows = store.export_csv(args.out, columns=columns, **filters)
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
-    if rows == 0:
-        print("store export: no matching rows", file=sys.stderr)
-        return 4
-    summary = {"command": "store export", "rows": rows, "out": args.out}
-    print(json.dumps(summary, sort_keys=True) if args.json else f"wrote {rows} rows to {args.out}")
-    return 0
+    write = lambda store, out: store.export_csv(out, columns=columns, **filters)
+    return _write_out(args, {"command": "store export"}, write)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,23 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="write an analysis CSV")
     report.add_argument("kind", choices=REPORT_KINDS)
-    report.add_argument("--out", required=True)
-    report.add_argument(
-        "--filter", action="append", default=[], metavar="KEY=VALUE",
-        help="record filter, repeatable; supports __ge/__gt/__le/__lt suffixes",
-    )
-    report.set_defaults(func=cmd_report)
 
     store = sub.add_parser("store", help="job-log storage operations")
     store_sub = store.add_subparsers(dest="subcommand", required=True)
     export = store_sub.add_parser("export", help="dump records as CSV")
-    export.add_argument("--out", required=True)
+    for writer, func in ((report, cmd_report), (export, cmd_store_export)):
+        writer.add_argument("--out", required=True)
+        writer.add_argument(
+            "--filter", action="append", default=[], metavar="KEY=VALUE",
+            help="record filter, repeatable; supports __ge/__gt/__le/__lt suffixes",
+        )
+        writer.set_defaults(func=func)
     export.add_argument("--columns", help="comma-separated column subset")
-    export.add_argument(
-        "--filter", action="append", default=[], metavar="KEY=VALUE",
-        help="record filter, repeatable",
-    )
-    export.set_defaults(func=cmd_store_export)
     return parser
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -168,6 +169,37 @@ def test_budget_cap_that_is_not_finite_is_exit_2(tmp_path):
 
 
 ONE_TARGET = "[campaign]\nqubits = 4\n[targets]\nuse = garnet-aws\n"
+
+
+def seeded(seed):
+    return ONE_TARGET.replace("qubits = 4", f"qubits = 4\nseed = {seed}")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_exit_2_and_creates_no_store(tmp_path, seed):
+    # rng folds a seed to 64 bits, so -1 and 2**64 would run 2**64 - 1's and 0's campaigns
+    cfg = write_config(tmp_path / "c.ini", seeded(seed))
+    store_path = tmp_path / "run.jsonl"
+    code, out, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert (code, out, err) == (2, "", f"config error: seed {seed} is not in [0, 2**64)\n")
+    assert not store_path.exists()
+
+
+def test_env_seed_outside_64_bits_is_exit_2_and_creates_no_store(tmp_path, monkeypatch):
+    monkeypatch.setenv("QBENCH_SEED", "-1")
+    cfg = write_config(tmp_path / "c.ini", ONE_TARGET)
+    store_path = tmp_path / "run.jsonl"
+    code, out, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert (code, out, err) == (2, "", "config error: seed -1 is not in [0, 2**64)\n")
+    assert not store_path.exists()
+
+
+def test_largest_64_bit_seed_still_runs(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", seeded(2**64 - 1))
+    store_path = tmp_path / "run.jsonl"
+    assert load_config(cfg).seed == 2**64 - 1
+    assert run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)[0] == 0
+    assert len(JobStore(store_path)) == 1
 
 # a config line no setting reads, and what the error must name
 CONFIG_TYPOS = {
@@ -507,6 +539,178 @@ def test_out_that_cannot_be_written_is_exit_2(tmp_path, command, out):
     assert err.startswith(f"config error: cannot write --out {out_path}: ")
     assert stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "run.jsonl"]
+
+
+# three targets, one over its width (an error record) and one over its budget
+# cap (a skip); every path below is relative to the directory the CLI runs in
+GOLDEN_CONFIG = """
+[campaign]
+qubits = 4,6
+shots = 100
+days = 1
+seed = 5
+budget_cap = 1.00
+
+[targets]
+use = aria1-emulator, garnet-aws, h1-azure
+
+[target:aria1-emulator]
+qubits = 5
+"""
+
+GOLDEN_CAMPAIGN_TEXT = """\
+wrote 5 jobs to c.jsonl
+  error        1
+  processed    4
+  aria1-emulator   jobs=2 cost=$0.00
+  garnet-aws       jobs=2 cost=$0.90
+  h1-azure         jobs=1 cost=$71.11
+  skipped (budget cap): 1
+total cost $72.01
+"""
+
+GOLDEN_CAMPAIGN_JSON = (
+    '{"by_status": {"error": 1, "processed": 4}, "by_target": {"aria1-emulator": '
+    '{"cost_usd": "$0.00", "jobs": 2, "statuses": {"error": 1, "processed": 1}}, '
+    '"garnet-aws": {"cost_usd": "$0.90", "jobs": 2, "statuses": {"processed": 2}}, '
+    '"h1-azure": {"cost_usd": "$71.11", "jobs": 1, "statuses": {"processed": 1}}}, '
+    '"command": "campaign run", "jobs": 5, "skipped_budget": 1, "store": "c.jsonl", '
+    '"total_cost_usd": "$72.01"}\n'
+)
+
+GOLDEN_POLL_TEXT = """\
+aria1-emulator   error        1
+aria1-emulator   processed    1
+garnet-aws       processed    2
+h1-azure         processed    1
+"""
+
+GOLDEN_POLL_JSON = (
+    '{"by_target_status": {"aria1-emulator/error": 1, "aria1-emulator/processed": 1, '
+    '"garnet-aws/processed": 2, "h1-azure/processed": 1}, "command": "jobs poll", "jobs": 5}\n'
+)
+
+NO_DIR = "config error: cannot write --out nodir/o.csv: No such file or directory\n"
+
+# case -> (arguments, stdout, stderr, exit code); s.jsonl holds GOLDEN_CONFIG's
+# campaign, e.jsonl is empty, and a campaign without --store writes c.jsonl
+GOLDEN = {
+    "campaign-text": (("campaign", "run", "--config", "c.ini"), GOLDEN_CAMPAIGN_TEXT, "", 0),
+    "campaign-json": (
+        ("--json", "campaign", "run", "--config", "c.ini"), GOLDEN_CAMPAIGN_JSON, "", 0,
+    ),
+    "poll-text": (("--store", "s.jsonl", "jobs", "poll"), GOLDEN_POLL_TEXT, "", 0),
+    "poll-json": (("--store", "s.jsonl", "--json", "jobs", "poll"), GOLDEN_POLL_JSON, "", 0),
+    "poll-empty-text": (("--store", "e.jsonl", "jobs", "poll"), "no jobs in store\n", "", 0),
+    "poll-empty-json": (
+        ("--store", "e.jsonl", "--json", "jobs", "poll"),
+        '{"by_target_status": {}, "command": "jobs poll", "jobs": 0}\n', "", 0,
+    ),
+    "report-text": (
+        ("--store", "s.jsonl", "report", "table6", "--out", "t6.csv"),
+        "wrote 4 rows to t6.csv\n", "", 0,
+    ),
+    "report-json": (
+        ("--store", "s.jsonl", "--json", "report", "table6", "--out", "t6.csv"),
+        '{"command": "report", "kind": "table6", "out": "t6.csv", "rows": 4}\n', "", 0,
+    ),
+    "report-empty-text": (
+        ("--store", "s.jsonl", "report", "table6", "--filter", "status=canceled", "--out", "o.csv"),
+        "", "report table6: no matching rows\n", 4,
+    ),
+    "report-empty-json": (
+        ("--store", "s.jsonl", "--json", "report", "availability",
+         "--filter", "qubits__gt=6", "--out", "o.csv"),
+        "", "report availability: no matching rows\n", 4,
+    ),
+    "report-unwritable": (
+        ("--store", "s.jsonl", "report", "table6", "--out", "nodir/o.csv"), "", NO_DIR, 2,
+    ),
+    "export-text": (
+        ("--store", "s.jsonl", "store", "export",
+         "--columns", "job_id,status,cost", "--out", "x.csv"),
+        "wrote 5 rows to x.csv\n", "", 0,
+    ),
+    "export-json": (
+        ("--store", "s.jsonl", "--json", "store", "export",
+         "--filter", "status=error", "--out", "x.csv"),
+        '{"command": "store export", "out": "x.csv", "rows": 1}\n', "", 0,
+    ),
+    "export-empty-text": (
+        ("--store", "s.jsonl", "store", "export", "--filter", "qubits__gt=6", "--out", "o.csv"),
+        "", "store export: no matching rows\n", 4,
+    ),
+    "export-empty-json": (
+        ("--store", "e.jsonl", "--json", "store", "export", "--out", "o.csv"),
+        "", "store export: no matching rows\n", 4,
+    ),
+    "export-unwritable": (
+        ("--store", "s.jsonl", "store", "export", "--out", "nodir/o.csv"), "", NO_DIR, 2,
+    ),
+}
+
+# the CSV files the golden cases that exit 0 write
+GOLDEN_CSV = {
+    "report-text": ("t6.csv", """\
+index,qubits,cloud,target,fidelity,fid_std,jobs,cost,cost_std
+0,4,SimAWS,garnet-aws,0.260000,0.000000,1,0.45,0.00
+1,4,SimAzure,aria1-emulator,0.990000,0.000000,1,0.00,0.00
+2,4,SimAzure,h1-azure,1.000000,0.000000,1,71.11,0.00
+3,6,SimAWS,garnet-aws,0.040000,0.000000,1,0.45,0.00
+"""),
+    "export-text": ("x.csv", """\
+job_id,status,cost
+aria1-emulator-d00s0-q04,processed,0
+aria1-emulator-d00s0-q06,error,0
+garnet-aws-d00s0-q04,processed,450000
+garnet-aws-d00s0-q06,processed,450000
+h1-azure-d00s0-q04,processed,71110000
+"""),
+}
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QBENCH_STORE", "c.jsonl")
+    write_config(tmp_path / "c.ini", GOLDEN_CONFIG)
+    assert run_cli("--store", "s.jsonl", "campaign", "run", "--config", "c.ini")[0] == 0
+    (tmp_path / "e.jsonl").touch()
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_stdout_stderr_and_exit_code(golden_dir, case):
+    args, stdout, stderr, code = GOLDEN[case]
+    assert run_cli(*args) == (code, stdout, stderr)
+    if case in GOLDEN_CSV:
+        name, text = GOLDEN_CSV[case]
+        assert (golden_dir / name).read_text() == text
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# --out -> a name for the store file s.jsonl, made in the directory given
+STORE_ALIASES = {
+    "same-name": lambda d: "s.jsonl",
+    "dot-slash": lambda d: "./s.jsonl",
+    "absolute": lambda d: str(d / "s.jsonl"),
+    "symlink": lambda d: (d / "link.jsonl").symlink_to("s.jsonl") or "link.jsonl",
+    "hard-link": lambda d: os.link(d / "s.jsonl", d / "hard.jsonl") or "hard.jsonl",
+}
+
+
+@pytest.mark.parametrize("alias", sorted(STORE_ALIASES))
+@pytest.mark.parametrize("command", ["report", "store-export"])
+def test_out_that_is_the_store_is_exit_2_and_leaves_it_untouched(golden_dir, command, alias):
+    before = _sha256("s.jsonl")
+    out = STORE_ALIASES[alias](golden_dir)
+    code, stdout, err = run_cli("--store", "s.jsonl", *READ_ONLY_COMMANDS[command], out)
+    assert (code, stdout, err) == (2, "", f"config error: --out {out} is the store s.jsonl\n")
+    assert _sha256("s.jsonl") == before
+    assert run_cli("--store", "s.jsonl", "jobs", "poll") == (0, GOLDEN_POLL_TEXT, "")
 
 
 def test_campaign_run_creates_a_missing_store(tmp_path):
