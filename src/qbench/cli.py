@@ -148,10 +148,8 @@ def load_config(path: str) -> CampaignConfig:
         shots = camp.getint("shots", 500)
         days = camp.getint("days", 1)
         sweeps = camp.getint("sweeps_per_day", 1)
-        env_seed = os.environ.get("QBENCH_SEED")
-        seed = camp.getint(
-            "seed", int(env_seed) if env_seed is not None else DEFAULT_SEED
-        )
+        env_seed = None if "seed" in camp else os.environ.get("QBENCH_SEED")
+        seed = camp.getint("seed", int(env_seed) if env_seed is not None else DEFAULT_SEED)
         cap_text = camp.get("budget_cap", "").strip()
         budget_cap = Money.from_usd(cap_text) if cap_text else None
         if not use:
@@ -366,14 +364,25 @@ def _write_out(args, summary: dict, write) -> int:
 
     ``summary`` holds the command's name fields, which also label the exit-4
     message.  An ``--out`` that is the store file, under any name, is refused
-    before anything is written.
+    before anything is written.  Rows go to a new file beside ``--out`` (or its
+    symlink's target) that replaces it only if it holds any, so an exit 4 or
+    a failed write leaves an existing ``--out`` as it was.
     """
     store = _open_store(args.store)
     if os.path.exists(args.out) and os.path.samefile(args.out, store.path):
         raise ConfigError(f"--out {args.out} is the store {store.path}")
-    try:
-        rows = write(store, args.out)
-    except OSError as exc:  # a missing parent directory, a directory, no permission
+    real = os.path.realpath(args.out)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:  # a missing parent directory, a directory, no permission, a full disk
+        open(tmp, "x").close()  # mode "x": the permissions a new --out gets
+        try:
+            rows = write(store, tmp)
+            if rows:
+                os.replace(tmp, real)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    except OSError as exc:
         raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     if rows == 0:
         print(f"{' '.join(summary.values())}: no matching rows", file=sys.stderr)

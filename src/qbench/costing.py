@@ -121,12 +121,6 @@ def credit_charge(counts: GateCensus, shots: int, width: int) -> Fraction:
     return 5 + Fraction(shots * (counts.n_1q + counts.n_2q + 5 * width), 5000)
 
 
-def format_credits(credits: Fraction) -> str:
-    """Credits rendered to one decimal, half-up."""
-    tenths = math.floor(credits * 10 + Fraction(1, 2))
-    return f"{tenths // 10}.{tenths % 10}"
-
-
 @dataclass(frozen=True)
 class CreditBilling:
     """Credit-metered pricing (hardware and emulator tiers use different rates)."""
@@ -137,9 +131,6 @@ class CreditBilling:
         self, counts: GateCensus, shots: int, width: int, *, error_mitigated: bool = False
     ) -> Money:
         return self.usd_per_credit.scale(credit_charge(counts, shots, width))
-
-    def cost_of_credits(self, credits: Fraction) -> Money:
-        return self.usd_per_credit.scale(credits)
 
 
 @dataclass(frozen=True)

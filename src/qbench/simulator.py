@@ -4,8 +4,10 @@ State layout follows the package bit-order convention: amplitude index v is
 the integer sum(bit_i << i). Reshaping a 2**q vector to [2]*q puts qubit
 q-1-j on tensor axis j (numpy C order, most significant axis first).
 
-Widths are capped at 24 qubits (a complex128 vector at 24 qubits is 256 MiB;
-anything wider is out of desk-scale scope). Noise is modeled at two levels:
+Every evolution (a statevector, a unitary's columns, a noisy trajectory) goes
+through the one kernel ``_evolve``. ``_ground`` caps widths at 24 qubits (a
+complex128 vector at 24 qubits is 256 MiB; anything wider is out of
+desk-scale scope). Noise is modeled at two levels:
 
 * ``GlobalDepolarizing(f_2qg)`` works at the distribution level: each shot is
   drawn from the ideal output distribution with probability f_2qg ** n_2q and
@@ -75,12 +77,24 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {k}")
 
 
-def _apply(t: np.ndarray, width: int, mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Apply a 1- or 2-qubit matrix to a ``[2]*width`` tensor with any trailing batch axes."""
-    k = len(targets)
-    axes = [width - 1 - q for q in targets]
-    t = np.tensordot(mat.reshape([2] * 2 * k), t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(t, list(range(k)), axes)
+def _ground(width: int) -> np.ndarray:
+    """|0...0> as a ``[2]*width`` tensor; the one place the width cap is checked."""
+    if width > MAX_WIDTH:
+        raise ValueError(f"width {width} exceeds simulator cap {MAX_WIDTH}")
+    state = np.zeros([2] * width, dtype=complex)
+    state.flat[0] = 1.0
+    return state
+
+
+def _evolve(t: np.ndarray, width: int, ops) -> np.ndarray:
+    """Apply ``(matrix, targets)`` ops in order to ``t``, a ``[2]*width`` tensor
+    with any trailing batch axes; ``t`` itself is never mutated."""
+    for mat, targets in ops:
+        k = len(targets)
+        axes = [width - 1 - q for q in targets]
+        t = np.tensordot(mat.reshape([2] * 2 * k), t, axes=(list(range(k, 2 * k)), axes))
+        t = np.moveaxis(t, list(range(k)), axes)
+    return t
 
 
 def _bitstrings(vals: np.ndarray, width: int) -> list[str]:
@@ -91,15 +105,13 @@ def _bitstrings(vals: np.ndarray, width: int) -> list[str]:
     return [text[i : i + width] for i in range(0, len(text), width)]
 
 
+def _ops(circuit: Circuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    return [(gate_matrix(g), g.targets) for g in circuit.gates]
+
+
 def run_statevector(circuit: Circuit) -> np.ndarray:
     """Apply all gates to |0...0>; returns the 2**width amplitude vector."""
-    if circuit.width > MAX_WIDTH:
-        raise ValueError(f"width {circuit.width} exceeds simulator cap {MAX_WIDTH}")
-    state = np.zeros([2] * circuit.width, dtype=complex)
-    state.flat[0] = 1.0
-    for g in circuit.gates:
-        state = _apply(state, circuit.width, gate_matrix(g), g.targets)
-    state = state.reshape(-1)
+    state = _evolve(_ground(circuit.width), circuit.width, _ops(circuit)).reshape(-1)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > _NORM_TOL:
         raise ArithmeticError(f"statevector norm drifted to {norm!r}")
@@ -113,9 +125,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     dim = 1 << circuit.width
     # basis columns ride along as a trailing batch axis
     u = np.eye(dim, dtype=complex).reshape([2] * circuit.width + [dim])
-    for g in circuit.gates:
-        u = _apply(u, circuit.width, gate_matrix(g), g.targets)
-    return u.reshape(dim, dim)
+    return _evolve(u, circuit.width, _ops(circuit)).reshape(dim, dim)
 
 
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
@@ -225,20 +235,17 @@ def sample_depolarized(
 def _run_trajectories(
     circuit: Circuit, p: float, shots: int, rng: np.random.Generator
 ) -> dict[str, int]:
-    if circuit.width > MAX_WIDTH:
-        raise ValueError(f"width {circuit.width} exceeds simulator cap {MAX_WIDTH}")
     width = circuit.width
+    ground, ops = _ground(width), _ops(circuit)
     outcomes = np.empty(shots, dtype=np.int64)
     for shot in range(shots):
-        state = np.zeros([2] * width, dtype=complex)
-        state.flat[0] = 1.0
-        for g in circuit.gates:
-            state = _apply(state, width, gate_matrix(g), g.targets)
-            if g.arity == 2 and p > 0.0 and rng.random() < p:
+        shot_ops = []
+        for mat, targets in ops:
+            shot_ops.append((mat, targets))
+            if len(targets) == 2 and p > 0.0 and rng.random() < p:
                 pa, pb = _PAULI_2Q_PAIRS[rng.integers(0, len(_PAULI_2Q_PAIRS))]
-                state = _apply(state, width, _PAULI_1Q[pa], g.targets[:1])
-                state = _apply(state, width, _PAULI_1Q[pb], g.targets[1:])
-        probs = np.abs(state.reshape(-1)) ** 2
+                shot_ops += [(_PAULI_1Q[pa], targets[:1]), (_PAULI_1Q[pb], targets[1:])]
+        probs = np.abs(_evolve(ground, width, shot_ops).reshape(-1)) ** 2
         probs = probs / probs.sum()
         outcomes[shot] = rng.choice(len(probs), p=probs)
     vals, reps = np.unique(outcomes, return_counts=True)

@@ -130,7 +130,7 @@ def test_criterion_04_cost_oracles():
     ok = ok and str(target_profile("garnet-aws").billing.job_cost(tiny, 500, 2)) == "$1.03"
 
     hq = target_profile("h1-azure").billing
-    ok = ok and str(hq.cost_of_credits(Fraction(2338, 10))) == "$2289.86"
+    ok = ok and str(hq.usd_per_credit.scale(Fraction(2338, 10))) == "$2289.86"
 
     ionq = target_profile("aria1-azure").billing
     ok = ok and str(ionq.job_cost(tiny, 1, 2)) == "$12.42"

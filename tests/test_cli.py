@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -242,6 +243,18 @@ def test_env_seed_fills_in_when_config_is_silent(tmp_path, monkeypatch):
     assert load_config(write_config(tmp_path / "c.ini", body)).seed == 4242
     monkeypatch.delenv("QBENCH_SEED")
     assert load_config(write_config(tmp_path / "c.ini", body)).seed == 20240917
+
+
+@pytest.mark.parametrize("env_seed", ["abc", "-1", str(2**64)])
+def test_env_seed_is_not_read_when_config_sets_seed(tmp_path, monkeypatch, env_seed):
+    cfg = write_config(tmp_path / "c.ini", seeded(5))
+    plain = tmp_path / "plain.jsonl"
+    assert run_cli("--store", str(plain), "campaign", "run", "--config", cfg)[0] == 0
+    monkeypatch.setenv("QBENCH_SEED", env_seed)
+    assert load_config(cfg).seed == 5
+    store_path = tmp_path / "run.jsonl"
+    assert run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)[0] == 0
+    assert store_path.read_bytes() == plain.read_bytes()
 
 
 def test_campaign_run_end_to_end(tmp_path):
@@ -830,3 +843,53 @@ def test_campaign_that_raises_mid_run_closes_its_store(tmp_path, monkeypatch):
     (appender,) = opens.appenders()
     assert appender.closed
     assert len(JobStore(store_path)) == 3
+
+
+def _listing(d):
+    return sorted(p.name for p in d.iterdir())
+
+
+@pytest.mark.parametrize("command", ["report", "store-export"])
+def test_exit_4_leaves_an_existing_out_untouched_and_makes_no_new_one(golden_dir, command):
+    # s.jsonl holds no record above 6 qubits
+    args = ("--store", "s.jsonl", *READ_ONLY_COMMANDS[command][:-1], "--filter", "qubits__gt=6")
+    Path("old.csv").write_text("earlier rows\n")
+    before = _listing(golden_dir)
+    assert run_cli(*args, "--out", "old.csv")[0] == 4
+    assert run_cli(*args, "--out", "new.csv")[0] == 4
+    assert Path("old.csv").read_text() == "earlier rows\n"
+    assert _listing(golden_dir) == before
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), KeyError("x")])
+def test_writer_that_raises_mid_write_leaves_out_untouched(golden_dir, monkeypatch, error):
+    def half_then_raise(kind, records, out_path):
+        with open(out_path, "w") as fh:
+            fh.write("index,qub")
+        raise error
+
+    monkeypatch.setattr(cli, "write_report", half_then_raise)
+    Path("t6.csv").write_text("earlier rows\n")
+    before = _listing(golden_dir)
+    args = ("--store", "s.jsonl", "report", "table6", "--out", "t6.csv")
+    if isinstance(error, OSError):
+        code, stdout, err = run_cli(*args)
+        assert (code, stdout) == (2, "")
+        assert err == "config error: cannot write --out t6.csv: No space left on device\n"
+    else:
+        with pytest.raises(KeyError):
+            run_cli(*args)
+    assert Path("t6.csv").read_text() == "earlier rows\n"
+    assert _listing(golden_dir) == before
+
+
+def test_symlinked_out_is_written_through_and_kept_on_exit_4(golden_dir):
+    Path("target.csv").write_text("earlier rows\n")
+    Path("link.csv").symlink_to("target.csv")
+    empty = ("--store", "s.jsonl", "report", "table6", "--filter", "status=canceled")
+    assert run_cli(*empty, "--out", "link.csv")[0] == 4
+    assert Path("target.csv").read_text() == "earlier rows\n"
+    assert run_cli("--store", "s.jsonl", "report", "table6", "--out", "link.csv")[0] == 0
+    assert os.readlink("link.csv") == "target.csv"
+    assert Path("target.csv").read_text() == GOLDEN_CSV["report-text"][1]
+    assert _listing(golden_dir) == ["c.ini", "e.jsonl", "link.csv", "s.jsonl", "target.csv"]

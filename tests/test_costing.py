@@ -11,7 +11,6 @@ from qbench.costing import (
     Money,
     PerShotBilling,
     credit_charge,
-    format_credits,
 )
 
 IONQ = GateRateBilling(
@@ -118,17 +117,16 @@ class TestCredits:
     def test_worked_example_charge(self):
         credits = credit_charge(GateCensus(1738, 500), 500, width=10)
         assert credits == Fraction(2338, 10)
-        assert format_credits(credits) == "233.8"
 
     def test_hardware_and_emulator_dollars(self):
         credits = Fraction(2338, 10)
-        assert str(HQC_HW.cost_of_credits(credits)) == "$2289.86"
-        assert str(HQC_EMU.cost_of_credits(credits)) == "$25.44"
+        assert str(HQC_HW.usd_per_credit.scale(credits)) == "$2289.86"
+        assert str(HQC_EMU.usd_per_credit.scale(credits)) == "$25.44"
 
     def test_job_cost_equals_charge_times_rate(self):
         counts = GateCensus(280, 40)
         got = HQC_HW.job_cost(counts, 125, width=8)
-        assert got == HQC_HW.cost_of_credits(credit_charge(counts, 125, 8))
+        assert got == HQC_HW.usd_per_credit.scale(credit_charge(counts, 125, 8))
 
     def test_affine_in_shots_and_gates(self):
         w = 6
@@ -137,11 +135,6 @@ class TestCredits:
         assert double_shots - 5 == 2 * (base - 5)
         plus_gate = credit_charge(GateCensus(11, 10), 1000, w)
         assert plus_gate - base == Fraction(1000, 5000)
-
-    def test_format_credits_half_up(self):
-        assert format_credits(Fraction(5)) == "5.0"
-        assert format_credits(Fraction(12345, 1000)) == "12.3"
-        assert format_credits(Fraction(1, 20)) == "0.1"  # 0.05 rounds up
 
 
 class TestPerShot:

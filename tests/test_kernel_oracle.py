@@ -153,3 +153,28 @@ def test_trajectory_counts_match_oracle(p):
         for seed in (1, 2):
             got = run_noisy(circuit, PauliTrajectory(p), shots, seed)
             assert got == oracle_run_trajectories(circuit, p, shots, seed)
+
+
+# inputs the random circuits never are: no gates at all, and a multi-qubit
+# register that only one-qubit gates touch
+EDGE_CIRCUITS = {
+    "no-gates": Circuit(width=3, gates=()),
+    "one-qubit-only": Circuit(
+        width=4, gates=tuple(g for g in random_circuit(4, 40, seed=5).gates if g.arity == 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CIRCUITS))
+def test_edge_statevector_matches_oracle(name):
+    circuit = EDGE_CIRCUITS[name]
+    assert np.array_equal(run_statevector(circuit), oracle_run_statevector(circuit))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("name", sorted(EDGE_CIRCUITS))
+def test_edge_trajectory_counts_match_oracle(name, p):
+    circuit = EDGE_CIRCUITS[name]
+    for seed in (1, 2):
+        got = run_noisy(circuit, PauliTrajectory(p), 40, seed)
+        assert got == oracle_run_trajectories(circuit, p, 40, seed)

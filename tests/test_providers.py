@@ -425,7 +425,7 @@ def test_error_mitigated_target_bills_the_mitigated_minimum():
 def test_credit_bill_matches_the_formula():
     prov, h = _processed_handle("h1-azure", 6, 200, clock=18 * H)
     credits = credit_charge(h.census, 200, h.circuit.width)
-    assert prov.job_cost(h) == CreditBilling(Money.from_usd("9.7941")).cost_of_credits(credits)
+    assert prov.job_cost(h) == CreditBilling(Money.from_usd("9.7941")).usd_per_credit.scale(credits)
 
 
 def test_emulators_are_free_or_cheap():

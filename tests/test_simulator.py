@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qbench import simulator
 from qbench.circuit import (
     Circuit,
     Gate,
@@ -101,6 +102,9 @@ class TestStatevector:
         wide = Circuit(width=MAX_WIDTH + 1, gates=(Gate(GateKind.X, (0,)),))
         with pytest.raises(ValueError):
             run_statevector(wide)
+        for shots in (0, 1):
+            with pytest.raises(ValueError):
+                run_noisy(wide, PauliTrajectory(0.1), shots, 1)
 
     def test_circuit_unitary_cx(self):
         c = Circuit(width=2, gates=(Gate(GateKind.CX, (1, 0)),))
@@ -234,3 +238,13 @@ class TestNoiseChannels:
         heavy = run_noisy(c, PauliTrajectory(0.5), 300, seed=21)
         key = ideal_output(4, 6)
         assert heavy.get(key, 0) < a.get(key, 0)
+
+    @pytest.mark.parametrize("shots", [1, 20])
+    def test_trajectories_build_each_gate_matrix_once_per_call(self, monkeypatch, shots):
+        c = build_benchmark(3, 5)
+        built = []
+        monkeypatch.setattr(
+            simulator, "gate_matrix", lambda gate: built.append(gate) or gate_matrix(gate)
+        )
+        run_noisy(c, PauliTrajectory(0.2), shots, seed=4)
+        assert built == list(c.gates)
