@@ -21,7 +21,6 @@ only the inputs its formula names:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -73,12 +72,15 @@ class Money:
 
     __rmul__ = __mul__
 
-    def scale(self, factor: Fraction) -> "Money":
-        """Multiply by an exact rational and cent-round the result."""
-        return Money(_cents_half_up(Fraction(self.micros) * factor) * _MICROS_PER_CENT)
+    def scale(self, factor: int | Fraction) -> "Money":
+        """Multiply by an exact rational (an int or a Fraction) and cent-round the result."""
+        if not isinstance(factor, (int, Fraction)):
+            raise TypeError("Money scales by int or Fraction only, so rounding stays exact")
+        num, den = self.micros * factor.numerator, factor.denominator
+        return Money(_cents_half_up(num, den) * _MICROS_PER_CENT)
 
     def cents_half_up(self) -> int:
-        return _cents_half_up(Fraction(self.micros))
+        return _cents_half_up(self.micros, 1)
 
     @property
     def usd(self) -> float:
@@ -92,11 +94,15 @@ class Money:
         return f"{sign}${cents // 100}.{cents % 100:02d}"
 
 
-def _cents_half_up(micros: Fraction) -> int:
-    cents = micros / _MICROS_PER_CENT
-    if cents >= 0:
-        return math.floor(cents + Fraction(1, 2))
-    return -math.floor(-cents + Fraction(1, 2))
+def _cents_half_up(num: int, den: int) -> int:
+    """``num / den`` micro-USD in cents, rounded half away from zero; ``den`` > 0.
+
+    floor(x + 1/2) with x = num / d is (2 * num + d) // (2 * d) in integers.
+    """
+    d = den * _MICROS_PER_CENT
+    if num >= 0:
+        return (2 * num + d) // (2 * d)
+    return -((d - 2 * num) // (2 * d))
 
 
 @dataclass(frozen=True)

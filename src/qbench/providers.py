@@ -36,7 +36,7 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import Circuit, GateCensus
+from .circuit import Circuit, GateCensus, benchmark_input
 from .costing import (
     CostModel,
     CreditBilling,
@@ -45,15 +45,15 @@ from .costing import (
     PerShotBilling,
 )
 from .rng import derive_seed
-from .simulator import GlobalDepolarizing, NoiseSpec, run_noisy, sample_depolarized
+from .simulator import GlobalDepolarizing, NoiseSpec, _ideal, _sample_depolarized, run_noisy
 from .transpiler import (
     EFFICIENT,
     REDUNDANT,
     GateSetProfile,
     TranspileResult,
+    _lowered_census,
     check_gate_limit,
     default_gate_limit,
-    lowered_census,
     transpile,
 )
 
@@ -241,7 +241,8 @@ class TargetProfile:
 class JobHandle:
     """Mutable lifecycle record of one job, held by its caller; not persisted directly.
 
-    ``census`` is the lowered census, set once the width is accepted.
+    ``census`` is the lowered census, set once the width is accepted, when
+    ``_input`` records the circuit's ``benchmark_input`` for execution to read.
     ``circuit`` is the source circuit, kept once the gate limit accepts it.
     ``lowered`` is set only when the target runs the lowered gates.
     """
@@ -260,6 +261,7 @@ class JobHandle:
     actual_wait: float | None = None
     exec_start: int | None = None
     exec_end: int | None = None
+    _input: int | None = field(default=None, repr=False)
     _counts: dict[str, int] | None = field(default=None, repr=False)
 
 
@@ -328,7 +330,8 @@ class SimProvider:
                 f"circuit width {circuit.width} exceeds target capacity {effective_width}"
             )
             return handle
-        handle.census = lowered_census(circuit, t.gate_profile)
+        handle._input = benchmark_input(circuit)
+        handle.census = _lowered_census(circuit, handle._input, t.gate_profile)
         if not check_gate_limit(handle.census.total, t.gate_limit):
             handle.status = JobStatus.ERROR
             handle.error_message = (
@@ -382,7 +385,9 @@ class SimProvider:
     def _execute(self, handle: JobHandle) -> dict[str, int]:
         noise, seed = self.target.noise, derive_seed(handle.seed, "shots")
         if isinstance(noise, GlobalDepolarizing):
-            return sample_depolarized(handle.circuit, handle.census.n_2q, noise, handle.shots, seed)
+            c = handle.circuit
+            ideal = _ideal(c, handle._input)
+            return _sample_depolarized(ideal, c.width, handle.census.n_2q, noise, handle.shots, seed)
         # a trajectory injects its errors gate by gate, so it runs the lowering
         handle.lowered = transpile(handle.circuit, self.target.gate_profile)
         return run_noisy(handle.lowered.circuit, noise, handle.shots, seed)

@@ -8,6 +8,8 @@ mixing here is done with a fixed splitmix-style finalizer instead.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _MASK = (1 << 64) - 1
 
 
@@ -19,13 +21,22 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=1024)
+def _fnv1a(value: str) -> int:
+    """FNV-1a over utf-8; stable across processes unlike hash().
+
+    A campaign folds the same few strings (target names, stream labels) into
+    every job's seeds, so the hashes are memoised, in a bounded cache.
+    """
+    h = 0xCBF29CE484222325
+    for b in value.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & _MASK
+    return h
+
+
 def _fold(value: int | str) -> int:
     if isinstance(value, str):
-        # FNV-1a over utf-8; stable across processes unlike hash().
-        h = 0xCBF29CE484222325
-        for b in value.encode("utf-8"):
-            h = ((h ^ b) * 0x100000001B3) & _MASK
-        return h
+        return _fnv1a(value)
     return value & _MASK
 
 

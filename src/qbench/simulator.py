@@ -98,11 +98,13 @@ def _evolve(t: np.ndarray, width: int, ops) -> np.ndarray:
 
 
 def _bitstrings(vals: np.ndarray, width: int) -> list[str]:
-    """``format(v, f"0{width}b")`` of each value, rendered in one numpy pass."""
+    """``format(v, f"0{width}b")`` of each value, rendered in one numpy pass.
+
+    Each row of ``width`` code points is viewed as one fixed-width string.
+    """
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     bits = (np.asarray(vals, dtype=np.uint64)[:, None] >> shifts) & 1
-    text = (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
-    return [text[i : i + width] for i in range(0, len(text), width)]
+    return (bits.astype(np.uint32) + ord("0")).view(f"U{width}").ravel().tolist()
 
 
 def _ops(circuit: Circuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
@@ -132,7 +134,9 @@ def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial shot sampling; keys are MSB-first bitstrings, ascending."""
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    width = int(round(math.log2(len(state))))
+    width = len(state).bit_length() - 1
+    if width < 1:
+        raise ValueError("width must be >= 1")
     if 1 << width != len(state):
         raise ValueError("state length is not a power of two")
     probs = np.abs(state) ** 2
@@ -179,7 +183,11 @@ def ideal_distribution(circuit: Circuit) -> dict[str, float]:
     other circuit, a lowered benchmark included, is simulated (subject to
     MAX_WIDTH).
     """
-    n = benchmark_input(circuit)
+    return _ideal(circuit, benchmark_input(circuit))
+
+
+def _ideal(circuit: Circuit, n: int | None) -> dict[str, float]:
+    """``ideal_distribution(circuit)`` given its ``benchmark_input``, ``n``."""
     if n is not None:
         return {ideal_output(circuit.width, n): 1.0}
     probs = np.abs(run_statevector(circuit)) ** 2
@@ -208,28 +216,38 @@ def sample_depolarized(
 
     The channel reads no gate past the ideal distribution, so a lowering's
     two-qubit count can be paired with its source circuit.  The draws are, in
-    order: how many shots are clean (``binomial``), where the clean ones fall
-    on the sorted ideal support (``multinomial``), and one uniform outcome per
+    order: how many shots are clean (``binomial``, skipped when there are no
+    shots), where the clean ones fall on the sorted ideal support
+    (``multinomial``, skipped when no shot is clean or the support is one
+    outcome, where it would draw nothing), and one uniform outcome per
     scrambled shot (``integers``).  Every shot's outcome value is then tallied
     in one ``np.unique`` and each distinct value rendered once, so the keys
     come out ascending.  Outcome values are held as 64-bit integers.
     """
-    rng = np.random.default_rng(seed)
-    p_clean = noise.f_2qg**n_2q
     ideal = ideal_distribution(circuit)
-    clean = int(rng.binomial(shots, p_clean)) if shots else 0
+    return _sample_depolarized(ideal, circuit.width, n_2q, noise, shots, seed)
+
+
+def _sample_depolarized(
+    ideal: dict[str, float], width: int, n_2q: int, noise: GlobalDepolarizing, shots: int, seed: int
+) -> dict[str, int]:
+    """``sample_depolarized`` given the circuit's ideal distribution and width."""
+    rng = np.random.default_rng(seed)
+    clean = int(rng.binomial(shots, noise.f_2qg**n_2q)) if shots else 0
     outcomes = np.empty(shots, dtype=np.uint64)
-    if clean:
+    if len(ideal) == 1:  # every benchmark's; a one-category multinomial draws nothing
+        (key,) = ideal
+        outcomes[:clean] = int(key, 2)
+    elif clean:
         keys = sorted(ideal)
         pvals = np.array([ideal[k] for k in keys], dtype=float)
         hits = rng.multinomial(clean, pvals / pvals.sum())
-        # clean shots fall on the ideal support: one value for a benchmark
         support = np.array([int(k, 2) for k in keys], dtype=np.uint64)
         outcomes[:clean] = np.repeat(support, hits)
     if clean < shots:
-        outcomes[clean:] = rng.integers(0, 1 << circuit.width, size=shots - clean)
+        outcomes[clean:] = rng.integers(0, 1 << width, size=shots - clean)
     vals, reps = np.unique(outcomes, return_counts=True)
-    return dict(zip(_bitstrings(vals, circuit.width), reps.tolist()))
+    return dict(zip(_bitstrings(vals, width), reps.tolist()))
 
 
 def _run_trajectories(

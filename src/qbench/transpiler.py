@@ -289,7 +289,11 @@ def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
     width's body, counted once per width and profile, plus one X per set bit
     of its input.  Any other circuit has its gates counted by kind.
     """
-    n = benchmark_input(circuit)
+    return _lowered_census(circuit, benchmark_input(circuit), profile)
+
+
+def _lowered_census(circuit: Circuit, n: int | None, profile: GateSetProfile) -> GateCensus:
+    """``lowered_census`` given the circuit's ``benchmark_input``, ``n``."""
     if n is None:
         return _counted_census(circuit.gates, profile)
     body = _body_census(circuit.width, profile)
