@@ -385,9 +385,9 @@ class SimProvider:
     def _execute(self, handle: JobHandle) -> dict[str, int]:
         noise, seed = self.target.noise, derive_seed(handle.seed, "shots")
         if isinstance(noise, GlobalDepolarizing):
-            c = handle.circuit
+            c, shots = handle.circuit, handle.shots
             ideal = _ideal(c, handle._input)
-            return _sample_depolarized(ideal, c.width, handle.census.n_2q, noise, handle.shots, seed)
+            return _sample_depolarized(ideal, c.width, handle.census.n_2q, noise, shots, seed)
         # a trajectory injects its errors gate by gate, so it runs the lowering
         handle.lowered = transpile(handle.circuit, self.target.gate_profile)
         return run_noisy(handle.lowered.circuit, noise, handle.shots, seed)

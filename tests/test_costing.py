@@ -58,6 +58,14 @@ class TestMoney:
         with pytest.raises(TypeError):
             Money(100) * 2.5
 
+    @pytest.mark.parametrize("factor", [0.5, Decimal("0.5"), "1/2", None])
+    def test_scale_takes_only_an_exact_rational(self, factor):
+        # a float factor once rounded through float arithmetic without a word
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Money(1_234_567).scale(factor)
+        assert Money(1_234_567).scale(Fraction(1, 2)) == Money(620_000)
+        assert Money(1_234_567).scale(2) == Money(2_470_000)
+
     def test_rendering(self):
         assert str(Money(0)) == "$0.00"
         assert str(Money(35_375_000)) == "$35.38"  # half a cent rounds up

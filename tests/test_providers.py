@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from qbench.circuit import build_benchmark, random_input
+from qbench.circuit import benchmark_input, build_benchmark, random_input
+from qbench.cli import load_config, run_campaign
 from qbench.costing import CreditBilling, Money, credit_charge
 from qbench.providers import (
     ACCEPT_HOLD,
@@ -255,6 +257,41 @@ def test_submission_is_deterministic():
         h = prov.submit(c, 300, 1234, seed=77, job_id="fixed")
         runs.append((h.exec_start, h.exec_end, prov.poll(h, h.exec_end).counts))
     assert runs[0] == runs[1]
+
+
+def _count_benchmark_input(monkeypatch) -> list:
+    """Record each call of ``benchmark_input``, under whichever module's name it is made."""
+    calls = []
+
+    def counted(circuit):
+        calls.append(circuit)
+        return benchmark_input(circuit)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "qbench":
+            continue
+        if getattr(module, "benchmark_input", None) is benchmark_input:
+            monkeypatch.setattr(module, "benchmark_input", counted)
+    return calls
+
+
+def test_a_processed_job_recognises_its_benchmark_once(monkeypatch, tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text(
+        "[campaign]\nqubits = 4,8,12\nshots = 100\nseed = 3\n"
+        "[targets]\nuse = h2-azure, garnet-aws\n"
+    )
+    cfg = load_config(str(config))  # resolving presets recognises the gate-limit benchmarks
+    prov = _provider("h2-azure")
+    calls = _count_benchmark_input(monkeypatch)
+    h = prov.submit(build_benchmark(8, 77), 500, 0, seed=5)
+    assert prov.poll(h, h.exec_end).status is JobStatus.PROCESSED
+    prov.job_cost(h)
+    assert len(calls) == 1  # at submission; execution reads it from the handle
+    calls.clear()
+    summary = run_campaign(cfg, str(tmp_path / "s.jsonl"))
+    assert summary["by_status"] == {"processed": 6}
+    assert len(calls) == 6
 
 
 def test_duplicate_job_id_rejected():

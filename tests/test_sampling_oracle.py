@@ -7,6 +7,8 @@ sorts it; ``oracle_hellinger_fidelity`` sums over the union of both supports.
 Those were the per-outcome Python paths before rendering became one numpy
 pass (``simulator._bitstrings``), both shot groups one ``np.unique`` tally, and
 scoring a sum over the shared support;
+``oracle_presorted_sample_depolarized`` is the tally before a one-outcome
+ideal skipped the sort, the weights and the ``multinomial``;
 ``oracle_sample``, ``oracle_ideal_distribution`` and the kernel oracle's
 trajectory loop render the same way.  The fast paths must give the same
 counts in the same key order, the same ideal distributions, and, for a
@@ -35,18 +37,20 @@ from qbench.circuit import (
     ideal_output,
     random_input,
 )
-from qbench.providers import PRESET_NAMES, target_profile
+from qbench.providers import PRESET_NAMES, JobStatus, SimProvider, target_profile
+from qbench.rng import derive_seed
 from qbench.simulator import (
     GlobalDepolarizing,
     PauliTrajectory,
     _bitstrings,
+    _sample_depolarized,
     ideal_distribution,
     run_noisy,
     run_statevector,
     sample,
     sample_depolarized,
 )
-from qbench.transpiler import lowered_census
+from qbench.transpiler import EFFICIENT, REDUNDANT, lowered_census, transpile
 from test_kernel_oracle import oracle_run_trajectories
 
 
@@ -89,6 +93,23 @@ def oracle_sample_depolarized(circuit, n_2q, noise, shots, seed):
             {format(int(v), f"0{circuit.width}b"): int(c) for v, c in zip(vals, reps)},
         )
     return dict(sorted(counts.items()))
+
+
+def oracle_presorted_sample_depolarized(ideal, width, n_2q, noise, shots, seed):
+    rng = np.random.default_rng(seed)
+    p_clean = noise.f_2qg**n_2q
+    clean = int(rng.binomial(shots, p_clean)) if shots else 0
+    outcomes = np.empty(shots, dtype=np.uint64)
+    if clean:
+        keys = sorted(ideal)
+        pvals = np.array([ideal[k] for k in keys], dtype=float)
+        hits = rng.multinomial(clean, pvals / pvals.sum())
+        support = np.array([int(k, 2) for k in keys], dtype=np.uint64)
+        outcomes[:clean] = np.repeat(support, hits)
+    if clean < shots:
+        outcomes[clean:] = rng.integers(0, 1 << width, size=shots - clean)
+    vals, reps = np.unique(outcomes, return_counts=True)
+    return {format(int(v), f"0{width}b"): int(c) for v, c in zip(vals, reps)}
 
 
 def oracle_sample(state, shots, seed):
@@ -152,6 +173,81 @@ def test_benchmark_counts_match_oracle(q):
                 assert sum(got.values()) == shots
 
 
+# the channel's fidelities: none, garnet's, aria's, and perfect
+DEPOLARIZING_F_2QG = (0.0, 0.97, 0.9995, 1.0)
+
+
+@pytest.mark.parametrize("q", range(1, 37))
+def test_one_point_ideals_match_the_presorted_oracle(q):
+    profile = (EFFICIENT, REDUNDANT)[q % 2]
+    for seed in (2, q + 40):
+        n = random_input(q, seed)
+        circuit = build_benchmark(q, n, seed=seed)
+        ideal = ideal_distribution(circuit)
+        assert ideal == {ideal_output(q, n): 1.0}
+        # the lowered count, and one two-qubit gate so that clean and scrambled shots mix
+        for n_2q in (lowered_census(circuit, profile).n_2q, 1):
+            for f_2qg in DEPOLARIZING_F_2QG:
+                noise = GlobalDepolarizing(f_2qg)
+                for shots in (0, 1, 500):
+                    args = (n_2q, noise, shots, seed)
+                    want = oracle_presorted_sample_depolarized(ideal, q, *args)
+                    assert_same_counts(sample_depolarized(circuit, *args), want)
+                    assert_same_counts(_sample_depolarized(ideal, q, *args), want)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_lowered_ideals_match_the_presorted_oracle(q):
+    # a lowered benchmark is simulated, so its ideal comes from a statevector
+    for profile in (EFFICIENT, REDUNDANT):
+        lowered = transpile(build_benchmark(q, random_input(q, q)), profile).circuit
+        ideal = ideal_distribution(lowered)
+        for f_2qg in DEPOLARIZING_F_2QG:
+            noise = GlobalDepolarizing(f_2qg)
+            for shots in (0, 1, 500):
+                want = oracle_presorted_sample_depolarized(ideal, q, 2, noise, shots, q)
+                assert_same_counts(sample_depolarized(lowered, 2, noise, shots, q), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    st.integers(1, 36),
+    st.sampled_from(DEPOLARIZING_F_2QG),
+    st.integers(0, 40),
+    st.sampled_from((0, 1, 500)),
+    st.integers(0, 2**64 - 1),
+)
+def test_multi_point_ideals_match_the_presorted_oracle(data, width, f_2qg, n_2q, shots, seed):
+    values = data.draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1, max_size=24))
+    weights = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=len(values), max_size=len(values)))
+    ideal = {format(v, f"0{width}b"): w for v, w in zip(values, weights)}
+    noise = GlobalDepolarizing(f_2qg)
+    want = oracle_presorted_sample_depolarized(ideal, width, n_2q, noise, shots, seed)
+    assert_same_counts(_sample_depolarized(ideal, width, n_2q, noise, shots, seed), want)
+
+
+RUNNING_PRESETS = [
+    name for name in PRESET_NAMES if target_profile(name).schedule.next_available_at(0) is not None
+]
+
+
+@pytest.mark.parametrize("name", RUNNING_PRESETS)
+def test_provider_counts_match_the_presorted_oracle(name):
+    # a benchmark takes the one-outcome path, any other circuit its simulated ideal
+    target = target_profile(name)
+    for circuit in (build_benchmark(6, 45, seed=3), random_circuit(6, 24, 3)):
+        provider = SimProvider(target)
+        handle = provider.submit(circuit, 500, 0, seed=9, job_id="j")
+        result = provider.poll(handle, handle.exec_end)
+        assert result.status is JobStatus.PROCESSED, result
+        shots_seed = derive_seed(9, "shots")
+        want = oracle_presorted_sample_depolarized(
+            ideal_distribution(circuit), 6, handle.census.n_2q, target.noise, 500, shots_seed
+        )
+        assert_same_counts(result.counts, want)
+
+
 @pytest.mark.parametrize("f_2qg", PRESET_F_2QG)
 def test_small_benchmarks_mix_clean_and_scrambled_hits_like_the_oracle(f_2qg):
     # at q = 2..4 with a shallow count, clean hits land on keys the scrambled draws also hit
@@ -179,6 +275,8 @@ def test_non_benchmark_counts_match_oracle(width):
                 got = sample_depolarized(circuit, n_2q, noise, shots, seed)
                 want = oracle_sample_depolarized(circuit, n_2q, noise, shots, seed)
                 assert_same_counts(got, want)
+                args = (n_2q, noise, shots, seed)
+                assert_same_counts(got, oracle_presorted_sample_depolarized(ideal, width, *args))
 
 
 def test_uniform_superposition_collides_on_every_key():

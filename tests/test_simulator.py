@@ -132,6 +132,16 @@ class TestSampling:
         counts = sample(state, 500, seed=4)
         assert counts == {ideal_output(5, 30): 500}
 
+    @pytest.mark.parametrize("state", [[1.0 + 0j], []])
+    def test_a_state_of_no_qubits_is_refused(self, state):
+        # a one-amplitude state passed the power-of-two check and crashed rendering
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            sample(np.array(state, dtype=complex), 5, 1)
+
+    def test_a_state_length_not_a_power_of_two_is_refused(self):
+        with pytest.raises(ValueError, match="not a power of two"):
+            sample(np.ones(6, dtype=complex), 5, 1)
+
 
 class TestIdealDistribution:
     def test_matches_statevector_path(self):
