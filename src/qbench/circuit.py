@@ -221,9 +221,13 @@ def benchmark_input(circuit: Circuit) -> int | None:
     cut = len(gates) - len(body)
     if cut < 0 or gates[cut:] != body:
         return None
-    prefix = gates[:cut]
-    n = sum(1 << g.targets[0] for g in prefix)
-    return n if prefix == _x_prefix(q, n) else None
+    # the prefix is X gates on strictly rising qubits: it is _x_prefix(q, n)
+    n = 0
+    for g in gates[:cut]:
+        if g.kind is not GateKind.X or n >> g.targets[0]:
+            return None
+        n |= 1 << g.targets[0]
+    return n
 
 
 def random_input(q: int, seed: int) -> int:

@@ -15,9 +15,18 @@ desk-scale scope). Noise is modeled at two levels:
   distribution is the analytic single-outcome delta, so this channel runs at
   any width the target machine supports.  It reads no gate past that, so a
   provider pairs the source benchmark with its lowering's two-qubit count.
-* ``PauliTrajectory(p)`` is a per-shot trajectory: after every two-qubit gate
-  a uniformly random non-identity two-qubit Pauli is applied with
-  probability p, and one measurement is drawn from the final state.
+* ``PauliTrajectory(p)`` samples trajectories: in each shot, after every
+  two-qubit gate a uniformly random non-identity two-qubit Pauli is applied
+  with probability p, and one measurement is drawn from the final state.
+  All shots' random numbers are drawn first, in the order a shot-by-shot
+  loop draws them (per shot: one ``random`` per two-qubit gate, one
+  ``integers`` per error, then the uniform its ``choice`` draws).  The shots
+  then evolve together on a trailing batch axis, each error applied to its
+  own shot's slice, and each outcome is that loop's ``choice`` call replayed
+  from the generator state saved for the shot, so the counts are the loop's.
+  Shots are batched in chunks whose kernel working set (the tensor,
+  tensordot's transposed copy of it and its output) stays under
+  ``_TRAJECTORY_BYTES``, 64 MiB: 85 shots a chunk at q = 14, one at q = 20.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from .circuit import Circuit, Gate, GateKind, benchmark_input, census, ideal_out
 
 MAX_WIDTH = 24
 _NORM_TOL = 1e-9
+# the bytes a trajectory run's batch of shot states may take while it evolves
+_TRAJECTORY_BYTES = 64 << 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -42,6 +53,9 @@ _PAULI_1Q = (
 )
 # all 15 non-identity two-qubit Paulis, as (left, right) factor indices
 _PAULI_2Q_PAIRS = tuple((a, b) for a in range(4) for b in range(4) if (a, b) != (0, 0))
+# the same Paulis as 4x4 matrices on (t0, t1): every entry is 0, +-1 or +-i, so
+# one of them changes amplitudes exactly as its two factors applied in turn do
+_PAULI_2Q = tuple(np.kron(_PAULI_1Q[a], _PAULI_1Q[b]) for a, b in _PAULI_2Q_PAIRS)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -77,12 +91,13 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {k}")
 
 
-def _ground(width: int) -> np.ndarray:
-    """|0...0> as a ``[2]*width`` tensor; the one place the width cap is checked."""
+def _ground(width: int, *batch: int) -> np.ndarray:
+    """|0...0> as a ``[2]*width`` tensor, one copy per trailing ``batch`` index;
+    the one place the width cap is checked."""
     if width > MAX_WIDTH:
         raise ValueError(f"width {width} exceeds simulator cap {MAX_WIDTH}")
-    state = np.zeros([2] * width, dtype=complex)
-    state.flat[0] = 1.0
+    state = np.zeros([2] * width + list(batch), dtype=complex)
+    state[(0,) * width] = 1.0
     return state
 
 
@@ -253,18 +268,39 @@ def _sample_depolarized(
 def _run_trajectories(
     circuit: Circuit, p: float, shots: int, rng: np.random.Generator
 ) -> dict[str, int]:
+    """``PauliTrajectory`` counts: every shot's draws first, then the shots in
+    batches (see the module docstring); no ``random`` is drawn when p is 0."""
     width = circuit.width
-    ground, ops = _ground(width), _ops(circuit)
-    outcomes = np.empty(shots, dtype=np.int64)
+    ops = _ops(circuit)
+    # one state's size, which also checks the width before anything is drawn
+    per_chunk = max(1, _TRAJECTORY_BYTES // (3 * _ground(width).nbytes))
+    two_qubit = [i for i, (_, targets) in enumerate(ops) if len(targets) == 2] if p > 0.0 else []
+    errors: list[tuple[int, int, int]] = []  # (shot, op index, index into _PAULI_2Q)
+    choice_states = []
     for shot in range(shots):
-        shot_ops = []
-        for mat, targets in ops:
-            shot_ops.append((mat, targets))
-            if len(targets) == 2 and p > 0.0 and rng.random() < p:
-                pa, pb = _PAULI_2Q_PAIRS[rng.integers(0, len(_PAULI_2Q_PAIRS))]
-                shot_ops += [(_PAULI_1Q[pa], targets[:1]), (_PAULI_1Q[pb], targets[1:])]
-        probs = np.abs(_evolve(ground, width, shot_ops).reshape(-1)) ** 2
-        probs = probs / probs.sum()
-        outcomes[shot] = rng.choice(len(probs), p=probs)
+        for i in two_qubit:
+            if rng.random() < p:
+                errors.append((shot, i, rng.integers(0, len(_PAULI_2Q))))
+        choice_states.append(rng.bit_generator.state)
+        rng.random()  # what the choice draws; it is replayed from the saved state
+
+    outcomes = np.empty(shots, dtype=np.int64)
+    for lo in range(0, shots, per_chunk):
+        n = min(per_chunk, shots - lo)
+        injected: dict[int, list[tuple[int, int]]] = {}
+        for shot, i, k in errors:
+            if lo <= shot < lo + n:
+                injected.setdefault(i, []).append((shot - lo, k))
+        t = _ground(width, n)
+        for i, op in enumerate(ops):
+            t = _evolve(t, width, [op])
+            for col, k in injected.get(i, ()):
+                t[..., col] = _evolve(t[..., col], width, [(_PAULI_2Q[k], op[1])])
+        for col in range(n):
+            # a contiguous copy, like the loop's state, so abs and sum round alike
+            probs = np.abs(t[..., col].flatten()) ** 2
+            probs = probs / probs.sum()
+            rng.bit_generator.state = choice_states[lo + col]
+            outcomes[lo + col] = rng.choice(len(probs), p=probs)
     vals, reps = np.unique(outcomes, return_counts=True)
     return dict(zip(_bitstrings(vals, width), reps.tolist()))

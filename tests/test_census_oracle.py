@@ -116,6 +116,34 @@ def look_alikes(q):
     return {name: Circuit(q, gates, built.metadata) for name, gates in cases.items()}
 
 
+def _x(i):
+    return Gate(GateKind.X, (i,))
+
+
+# n = 0b10101 at q = 5 is X(0) X(2) X(4); each prefix below differs from it
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        (_x(2), _x(0), _x(4)),
+        (_x(0), _x(2), _x(2), _x(4)),
+        (_x(0), _x(2), _x(4), _x(0)),
+        (_x(0), Gate(GateKind.RX, (2,), math.pi), _x(4)),
+        (Gate(GateKind.H, (0,)),),
+        (Gate(GateKind.CX, (0, 2)),),
+    ],
+    ids=["reordered", "repeated-qubit", "repeated-after-higher", "rx-pi", "h", "two-qubit"],
+)
+def test_prefix_not_of_rising_x_gates_is_refused(prefix):
+    assert benchmark_input(Circuit(5, prefix + _benchmark_body(5))) is None
+
+
+def test_equal_x_prefix_of_other_gate_objects_is_accepted():
+    fresh = (Gate(GateKind.X, (0,)), Gate(GateKind.X, (2,)), Gate(GateKind.X, (4,)))
+    built = _x_prefix(5, 0b10101)
+    assert fresh == built and not any(a is b for a, b in zip(fresh, built))
+    assert benchmark_input(Circuit(5, fresh + _benchmark_body(5))) == 0b10101
+
+
 @PROFILES
 @pytest.mark.parametrize("q", range(1, 13))
 def test_look_alikes_are_counted_gate_by_gate(q, profile):
