@@ -26,7 +26,8 @@ desk-scale scope). Noise is modeled at two levels:
   from the generator state saved for the shot, so the counts are the loop's.
   Shots are batched in chunks whose kernel working set (the tensor,
   tensordot's transposed copy of it and its output) stays under
-  ``_TRAJECTORY_BYTES``, 64 MiB: 85 shots a chunk at q = 14, one at q = 20.
+  ``_TRAJECTORY_BYTES``, 64 MiB: 85 shots a chunk at q = 14 and one at
+  q = 20.  From q = 21 up a chunk is one shot, which alone exceeds the cap.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .circuit import Circuit, Gate, GateKind, benchmark_input, census, ideal_out
 
 MAX_WIDTH = 24
 _NORM_TOL = 1e-9
-# the bytes a trajectory run's batch of shot states may take while it evolves
+# the bytes a trajectory run's batch of shot states may take while it evolves,
+# tensordot's copies included
 _TRAJECTORY_BYTES = 64 << 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -156,12 +156,14 @@ def test_trajectory_counts_match_oracle(p):
 
 
 # inputs the random circuits never are: no gates at all, and a multi-qubit
-# register that only one-qubit gates touch
+# register that only one-qubit gates touch; and a one-qubit register, which
+# no other trajectory case has
 EDGE_CIRCUITS = {
     "no-gates": Circuit(width=3, gates=()),
     "one-qubit-only": Circuit(
         width=4, gates=tuple(g for g in random_circuit(4, 40, seed=5).gates if g.arity == 1)
     ),
+    "width-1": random_circuit(1, 12, seed=4),
 }
 
 

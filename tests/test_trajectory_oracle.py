@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qbench import simulator
-from qbench.circuit import Circuit, build_benchmark, census
+from qbench.circuit import build_benchmark, census
 from qbench.simulator import PauliTrajectory, _run_trajectories, run_noisy
 from qbench.transpiler import EFFICIENT, REDUNDANT, transpile
 from test_kernel_oracle import EDGE_CIRCUITS, oracle_run_trajectories, random_circuit
@@ -22,7 +22,6 @@ CIRCUITS = {
     "efficient-q3": transpile(build_benchmark(3, 5), EFFICIENT).circuit,
     "redundant-q4": transpile(build_benchmark(4, 9), REDUNDANT).circuit,
     "random-q5": random_circuit(5, 30, seed=11),
-    "width-1": random_circuit(1, 12, seed=4),
     **EDGE_CIRCUITS,
 }
 
@@ -40,12 +39,6 @@ def test_zero_and_one_shot(name, p):
     assert assert_matches_oracle(CIRCUITS[name], p, 0, 1) == {}
     for seed in range(1, 6):
         assert_matches_oracle(CIRCUITS[name], p, 1, seed)
-
-
-@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-def test_width_one_circuit(p):
-    for seed in (1, 2, 3):
-        assert_matches_oracle(CIRCUITS["width-1"], p, 30, seed)
 
 
 def _state_after(seed, shots, per_shot):
@@ -114,10 +107,3 @@ def test_peak_memory_stays_within_the_cap_plus_one_state(monkeypatch):
         tracemalloc.stop()
     assert sum(counts.values()) == shots
     assert peak <= cap + state_bytes, (peak, cap)
-
-
-def test_no_two_qubit_gate_circuit_is_noise_free():
-    circuit = Circuit(2, CIRCUITS["width-1"].gates)
-    assert census(circuit).n_2q == 0
-    for p in (0.0, 1.0):
-        assert_matches_oracle(circuit, p, 30, 5)
