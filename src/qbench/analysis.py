@@ -64,6 +64,8 @@ def benchmark_fidelity(counts: Mapping[str, int], q: int, n: int) -> FidelitySco
 
 def debias_uniform_floor(observed: float, q: int) -> float:
     """Remove the uniform-scramble floor from an observed benchmark fidelity."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
     floor = 0.5 ** q
     return max(0.0, (observed - floor) / (1.0 - floor))
 
@@ -80,6 +82,8 @@ class TwoQubitGateEstimate:
 
 def infer_f2qg(circuit_fidelity: float, n_2q: int) -> TwoQubitGateEstimate | None:
     """Per-two-qubit-gate fidelity from a circuit fidelity; None when undefined."""
+    if not circuit_fidelity <= 1.0:  # NaN fails this too
+        raise ValueError(f"circuit fidelity {circuit_fidelity} is not at most 1")
     if n_2q <= 0 or circuit_fidelity <= 0.0:
         return None
     return TwoQubitGateEstimate(

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Iterable
@@ -118,6 +118,25 @@ class Circuit:
         if gates and max(chain.from_iterable(map(_targets, gates))) >= self.width:
             bad = next(g for g in gates if max(g.targets) >= self.width)
             raise ValueError(f"gate {bad} out of range for width {self.width}")
+
+    @cached_property
+    def _input(self) -> int | None:
+        """``benchmark_input(self)``, scanned once from the frozen gates; those shared
+        with the cached body compare by identity, so a built benchmark's angles are not."""
+        q, gates = self.width, self.gates
+        if len(gates) < q * q:  # shorter than any body of this width; none is built
+            return None
+        body = _benchmark_body(q)
+        cut = len(gates) - len(body)
+        if cut < 0 or gates[cut:] != body:
+            return None
+        # the prefix is X gates on strictly rising qubits: it is _x_prefix(q, n)
+        n = 0
+        for g in gates[:cut]:
+            if g.kind is not GateKind.X or n >> g.targets[0]:
+                return None
+            n |= 1 << g.targets[0]
+        return n
 
 
 def _in_range(width: int, gates: tuple[Gate, ...], metadata: dict[str, Any]) -> Circuit:
@@ -210,24 +229,10 @@ def benchmark_input(circuit: Circuit) -> int | None:
     """n if the circuit's gates are exactly ``build_benchmark(width, n)``'s, else None.
 
     Only the gates are read, never the metadata, so a circuit that was edited
-    or truncated is not taken for the benchmark its metadata names.  Gates
-    shared with the cached body compare by identity, so a built benchmark is
-    recognised without comparing angles.
+    or truncated is not taken for the benchmark its metadata names.  The
+    circuit keeps the answer, so each circuit's gates are scanned once.
     """
-    q, gates = circuit.width, circuit.gates
-    if len(gates) < q * q:  # shorter than any body of this width; none is built
-        return None
-    body = _benchmark_body(q)
-    cut = len(gates) - len(body)
-    if cut < 0 or gates[cut:] != body:
-        return None
-    # the prefix is X gates on strictly rising qubits: it is _x_prefix(q, n)
-    n = 0
-    for g in gates[:cut]:
-        if g.kind is not GateKind.X or n >> g.targets[0]:
-            return None
-        n |= 1 << g.targets[0]
-    return n
+    return circuit._input
 
 
 def random_input(q: int, seed: int) -> int:

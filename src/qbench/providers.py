@@ -36,7 +36,7 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import Circuit, GateCensus, benchmark_input
+from .circuit import Circuit, GateCensus
 from .costing import (
     CostModel,
     CreditBilling,
@@ -45,15 +45,15 @@ from .costing import (
     PerShotBilling,
 )
 from .rng import derive_seed
-from .simulator import GlobalDepolarizing, NoiseSpec, _ideal, _sample_depolarized, run_noisy
+from .simulator import GlobalDepolarizing, NoiseSpec, run_noisy, sample_depolarized
 from .transpiler import (
     EFFICIENT,
     REDUNDANT,
     GateSetProfile,
     TranspileResult,
-    _lowered_census,
     check_gate_limit,
     default_gate_limit,
+    lowered_census,
     transpile,
 )
 
@@ -88,8 +88,9 @@ class TargetStatus:
     def __post_init__(self) -> None:
         if (self.state is TargetState.DEGRADED) != (self.degraded is not None):
             raise ValueError("degraded kind set iff state is degraded")
-        if self.degraded is DegradedKind.REDUCED_CAPACITY and self.reduced_width is None:
-            raise ValueError("reduced capacity needs reduced_width")
+        width, reduced = self.reduced_width, self.degraded is DegradedKind.REDUCED_CAPACITY
+        if (type(width) is not int or width < 1) if reduced else width is not None:
+            raise ValueError(f"reduced_width {width!r}: an int >= 1 on reduced capacity, else None")
 
 
 AVAILABLE = TargetStatus(TargetState.AVAILABLE)
@@ -241,8 +242,7 @@ class TargetProfile:
 class JobHandle:
     """Mutable lifecycle record of one job, held by its caller; not persisted directly.
 
-    ``census`` is the lowered census, set once the width is accepted, when
-    ``_input`` records the circuit's ``benchmark_input`` for execution to read.
+    ``census`` is the lowered census, set once the width is accepted.
     ``circuit`` is the source circuit, kept once the gate limit accepts it.
     ``lowered`` is set only when the target runs the lowered gates.
     """
@@ -261,7 +261,6 @@ class JobHandle:
     actual_wait: float | None = None
     exec_start: int | None = None
     exec_end: int | None = None
-    _input: int | None = field(default=None, repr=False)
     _counts: dict[str, int] | None = field(default=None, repr=False)
 
 
@@ -330,8 +329,7 @@ class SimProvider:
                 f"circuit width {circuit.width} exceeds target capacity {effective_width}"
             )
             return handle
-        handle._input = benchmark_input(circuit)
-        handle.census = _lowered_census(circuit, handle._input, t.gate_profile)
+        handle.census = lowered_census(circuit, t.gate_profile)
         if not check_gate_limit(handle.census.total, t.gate_limit):
             handle.status = JobStatus.ERROR
             handle.error_message = (
@@ -385,9 +383,7 @@ class SimProvider:
     def _execute(self, handle: JobHandle) -> dict[str, int]:
         noise, seed = self.target.noise, derive_seed(handle.seed, "shots")
         if isinstance(noise, GlobalDepolarizing):
-            c, shots = handle.circuit, handle.shots
-            ideal = _ideal(c, handle._input)
-            return _sample_depolarized(ideal, c.width, handle.census.n_2q, noise, shots, seed)
+            return sample_depolarized(handle.circuit, handle.census.n_2q, noise, handle.shots, seed)
         # a trajectory injects its errors gate by gate, so it runs the lowering
         handle.lowered = transpile(handle.circuit, self.target.gate_profile)
         return run_noisy(handle.lowered.circuit, noise, handle.shots, seed)

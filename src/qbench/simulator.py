@@ -200,11 +200,7 @@ def ideal_distribution(circuit: Circuit) -> dict[str, float]:
     other circuit, a lowered benchmark included, is simulated (subject to
     MAX_WIDTH).
     """
-    return _ideal(circuit, benchmark_input(circuit))
-
-
-def _ideal(circuit: Circuit, n: int | None) -> dict[str, float]:
-    """``ideal_distribution(circuit)`` given its ``benchmark_input``, ``n``."""
+    n = benchmark_input(circuit)
     if n is not None:
         return {ideal_output(circuit.width, n): 1.0}
     probs = np.abs(run_statevector(circuit)) ** 2

@@ -36,7 +36,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -110,7 +110,7 @@ def euler_zyz(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, phi, theta, lam
 
 
-@cache
+@lru_cache(maxsize=256)  # a width 2..60 benchmark sweep needs 180
 def _euler_angles(kind: GateKind, theta: float | None, negative: bool) -> tuple[float, ...]:
     """``euler_zyz`` of a one-qubit gate; ``negative`` keeps -0.0 apart from 0.0."""
     return euler_zyz(gate_matrix(Gate(kind, (0,), theta)))
@@ -291,11 +291,7 @@ def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
     width's body, counted once per width and profile, plus one X per set bit
     of its input.  Any other circuit has its gates counted by kind.
     """
-    return _lowered_census(circuit, benchmark_input(circuit), profile)
-
-
-def _lowered_census(circuit: Circuit, n: int | None, profile: GateSetProfile) -> GateCensus:
-    """``lowered_census`` given the circuit's ``benchmark_input``, ``n``."""
+    n = benchmark_input(circuit)
     if n is None:
         return _counted_census(circuit.gates, profile)
     body = _body_census(circuit.width, profile)

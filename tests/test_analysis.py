@@ -101,6 +101,11 @@ class TestInference:
         assert infer_f2qg(-0.1, 5) is None
         assert infer_f2qg(0.5, 0) is None
 
+    @pytest.mark.parametrize("fidelity", [1.5, 1.0 + 1e-12, math.nan, math.inf])
+    def test_a_fidelity_above_one_or_nan_is_refused(self, fidelity):
+        with pytest.raises(ValueError, match="fidelity"):
+            infer_f2qg(fidelity, 4)
+
     def test_algebraic_round_trip(self):
         for n in (1, 2, 7, 64, 513):
             for f in (0.999, 0.99, 0.9, 0.5, 0.05, 1.0):
@@ -115,6 +120,11 @@ class TestInference:
             observed = p_clean + (1 - p_clean) / 2**q
             assert debias_uniform_floor(observed, q) == pytest.approx(p_clean, abs=1e-12)
         assert debias_uniform_floor(2**-q / 2, q) == 0.0  # clamps below the floor
+
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_debias_refuses_a_width_below_one(self, q):
+        with pytest.raises(ValueError, match="q must be"):
+            debias_uniform_floor(0.5, q)
 
 
 class TestAggregate:

@@ -10,6 +10,7 @@ paths must match them byte for byte, with the global phase equal to the bit.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from qbench import transpiler
@@ -31,8 +32,10 @@ from qbench.transpiler import (
     REDUNDANT,
     GateSetProfile,
     TranspileResult,
+    euler_zyz,
     transpile,
 )
+from qbench.simulator import gate_matrix
 from test_acceptance import CAMPAIGN_FIXTURE
 
 # sha256 of the criterion-08 campaign store, from the unmemoized lowering
@@ -126,6 +129,30 @@ def test_signed_zero_angles_keep_their_sign(profile):
     ):
         circuit = Circuit(1, (gate,))
         assert_same_lowering(transpile(circuit, profile), oracle_transpile(circuit, profile))
+
+
+def test_euler_angle_cache_is_bounded_and_survives_eviction():
+    size = transpiler._euler_angles.cache_info().maxsize
+    assert size is not None
+    rng = np.random.default_rng(11)
+    gates = tuple(Gate(GateKind.RZ, (0,), float(t)) for t in rng.uniform(-math.pi, math.pi, 3 * size))
+    for _ in range(2):
+        lowered = transpile(Circuit(1, gates), REDUNDANT).circuit.gates
+        for g, (rz_lam, ry_theta, rz_phi) in zip(gates, zip(*[iter(lowered)] * 3)):
+            _, phi, theta, lam = euler_zyz(gate_matrix(g))
+            assert (rz_lam.theta, ry_theta.theta, rz_phi.theta) == (lam, theta, phi)
+    assert transpiler._euler_angles.cache_info().currsize <= size
+
+
+def test_euler_angle_cache_holds_a_width_2_to_60_sweep():
+    transpiler._euler_angles.cache_clear()
+    for q in range(2, 61):
+        # the cache keys on a gate's kind and angle, so one gate of each is enough
+        gates = build_benchmark(q, (1 << q) - 1).gates
+        distinct = {(g.kind, g.theta, math.copysign(1.0, g.theta or 0.0)): g for g in gates}
+        transpile(Circuit(q, tuple(distinct.values())), REDUNDANT)
+    info = transpiler._euler_angles.cache_info()
+    assert info.currsize == info.misses == 180  # nothing was evicted
 
 
 def _criterion_08_store(tmp_path):

@@ -1,13 +1,21 @@
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from qbench.circuit import benchmark_input, build_benchmark, random_input
+from qbench.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    benchmark_input,
+    build_benchmark,
+    circuit_from_json,
+    circuit_to_json,
+    random_input,
+)
 from qbench.cli import load_config, run_campaign
 from qbench.costing import CreditBilling, Money, credit_charge
 from qbench.providers import (
@@ -172,6 +180,25 @@ def test_target_status_validation():
     with pytest.raises(ValueError):
         TargetStatus(TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY)
     assert reduced_capacity(10).reduced_width == 10
+    assert reduced_capacity(1).reduced_width == 1
+
+
+@pytest.mark.parametrize(
+    "state, kind, width",
+    [
+        (TargetState.AVAILABLE, None, 5),
+        (TargetState.UNAVAILABLE, None, 5),
+        (TargetState.DEGRADED, DegradedKind.ACCEPT_HOLD, 3),
+        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, 0),
+        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, -4),
+        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, 2.5),
+        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, True),
+        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, "3"),
+    ],
+)
+def test_reduced_width_is_a_positive_int_on_reduced_capacity_only(state, kind, width):
+    with pytest.raises(ValueError, match="reduced_width"):
+        TargetStatus(state, kind, width)
 
 
 # --- queue model -------------------------------------------------------------------
@@ -259,20 +286,18 @@ def test_submission_is_deterministic():
     assert runs[0] == runs[1]
 
 
-def _count_benchmark_input(monkeypatch) -> list:
-    """Record each call of ``benchmark_input``, under whichever module's name it is made."""
-    calls = []
+def _count_gate_scans(monkeypatch) -> list:
+    """Record each circuit whose gates ``benchmark_input`` scans."""
+    scans = []
+    prop = vars(Circuit)["_input"]  # the cached_property that runs the scan
+    scan = prop.func
 
     def counted(circuit):
-        calls.append(circuit)
-        return benchmark_input(circuit)
+        scans.append(circuit)
+        return scan(circuit)
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] != "qbench":
-            continue
-        if getattr(module, "benchmark_input", None) is benchmark_input:
-            monkeypatch.setattr(module, "benchmark_input", counted)
-    return calls
+    monkeypatch.setattr(prop, "func", counted)
+    return scans
 
 
 def test_a_processed_job_recognises_its_benchmark_once(monkeypatch, tmp_path):
@@ -283,15 +308,31 @@ def test_a_processed_job_recognises_its_benchmark_once(monkeypatch, tmp_path):
     )
     cfg = load_config(str(config))  # resolving presets recognises the gate-limit benchmarks
     prov = _provider("h2-azure")
-    calls = _count_benchmark_input(monkeypatch)
-    h = prov.submit(build_benchmark(8, 77), 500, 0, seed=5)
+    scans = _count_gate_scans(monkeypatch)
+    circuit = build_benchmark(8, 77)
+    h = prov.submit(circuit, 500, 0, seed=5)
+    assert len(scans) == 1  # at submission, for the lowered census
     assert prov.poll(h, h.exec_end).status is JobStatus.PROCESSED
     prov.job_cost(h)
-    assert len(calls) == 1  # at submission; execution reads it from the handle
-    calls.clear()
+    assert benchmark_input(circuit) == 77
+    assert len(scans) == 1  # execution and billing read what the circuit kept
+    scans.clear()
     summary = run_campaign(cfg, str(tmp_path / "s.jsonl"))
     assert summary["by_status"] == {"processed": 6}
-    assert len(calls) == 6
+    assert len(set(map(id, scans))) == len(scans) == 6  # one per job's circuit
+
+
+def test_a_circuit_is_recognised_by_its_own_gates(monkeypatch):
+    circuit = build_benchmark(8, 77)
+    assert benchmark_input(circuit) == 77
+    scans = _count_gate_scans(monkeypatch)
+    # an edited copy keeps the metadata naming the benchmark, but not its answer
+    last = circuit.gates[-1]
+    edited = dataclasses.replace(circuit, gates=(*circuit.gates[:-1], Gate(GateKind.X, last.targets)))
+    assert edited.metadata == circuit.metadata
+    assert benchmark_input(edited) is None
+    assert benchmark_input(circuit_from_json(circuit_to_json(circuit))) == 77
+    assert len(scans) == 2
 
 
 def test_duplicate_job_id_rejected():
