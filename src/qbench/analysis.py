@@ -66,6 +66,8 @@ def debias_uniform_floor(observed: float, q: int) -> float:
     """Remove the uniform-scramble floor from an observed benchmark fidelity."""
     if q < 1:
         raise ValueError("q must be >= 1")
+    if not 0.0 <= observed <= 1.0:  # NaN fails this too
+        raise ValueError(f"observed fidelity {observed} is not in [0, 1]")
     floor = 0.5 ** q
     return max(0.0, (observed - floor) / (1.0 - floor))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain
@@ -103,15 +103,14 @@ _targets = attrgetter("targets")
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate list on ``width`` qubits plus free-form metadata."""
+    """Immutable gate list on ``width`` qubits; compares and hashes by both."""
 
     width: int
     gates: tuple[Gate, ...]
-    metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
+        if type(self.width) is not int or self.width < 1:
+            raise ValueError("width must be an int >= 1")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         # one C-level pass over all targets; the gate is named only on failure
@@ -139,12 +138,11 @@ class Circuit:
         return n
 
 
-def _in_range(width: int, gates: tuple[Gate, ...], metadata: dict[str, Any]) -> Circuit:
+def _in_range(width: int, gates: tuple[Gate, ...]) -> Circuit:
     """A ``Circuit`` built without the range check, for gates in range by construction."""
     circuit = object.__new__(Circuit)
     object.__setattr__(circuit, "width", width)
     object.__setattr__(circuit, "gates", gates)
-    object.__setattr__(circuit, "metadata", metadata)
     return circuit
 
 
@@ -157,7 +155,7 @@ def census(circuit: Circuit) -> GateCensus:
 
 def ideal_output(q: int, n: int) -> str:
     """Expected measurement string of the benchmark: (n+1) mod 2**q, MSB first."""
-    if not 0 <= n < (1 << q):
+    if q < 1 or not 0 <= n < (1 << q):
         raise ValueError(f"n={n} out of range for {q} qubits")
     return format((n + 1) % (1 << q), f"0{q}b")
 
@@ -206,31 +204,20 @@ def _benchmark_body(q: int) -> tuple[Gate, ...]:
     return Circuit(q, (*ladder, *adder, *inverse(ladder))).gates
 
 
-def build_benchmark(q: int, n: int, *, seed: int | None = None) -> Circuit:
-    """Build the q-qubit Fourier-adder benchmark on input n.
-
-    Metadata records (q, n, seed) to describe the circuit and is never
-    trusted: JSON and lowering carry it along, but no result depends on it,
-    and ``benchmark_input`` recognises a benchmark by its gates alone.
-    """
+def build_benchmark(q: int, n: int) -> Circuit:
+    """Build the q-qubit Fourier-adder benchmark on input n."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if not 0 <= n < (1 << q):
         raise ValueError(f"n={n} out of range for {q} qubits")
-    prefix = _x_prefix(q, n)
-    meta: dict[str, Any] = {"benchmark": "fourier_adder", "q": q, "n": n}
-    if seed is not None:
-        meta["seed"] = seed
     # the prefix targets qubits below q and the body was checked when cached
-    return _in_range(q, prefix + _benchmark_body(q), meta)
+    return _in_range(q, _x_prefix(q, n) + _benchmark_body(q))
 
 
 def benchmark_input(circuit: Circuit) -> int | None:
     """n if the circuit's gates are exactly ``build_benchmark(width, n)``'s, else None.
 
-    Only the gates are read, never the metadata, so a circuit that was edited
-    or truncated is not taken for the benchmark its metadata names.  The
-    circuit keeps the answer, so each circuit's gates are scanned once.
+    The circuit keeps the answer, so each circuit's gates are scanned once.
     """
     return circuit._input
 
@@ -251,10 +238,7 @@ def circuit_to_json(circuit: Circuit) -> str:
         if g.theta is not None:
             entry["theta"] = g.theta
         gates.append(entry)
-    return json.dumps(
-        {"width": circuit.width, "gates": gates, "metadata": circuit.metadata},
-        sort_keys=True,
-    )
+    return json.dumps({"width": circuit.width, "gates": gates}, sort_keys=True)
 
 
 def circuit_from_json(text: str) -> Circuit:
@@ -263,4 +247,4 @@ def circuit_from_json(text: str) -> Circuit:
         Gate(GateKind(e["kind"]), tuple(e["targets"]), e.get("theta"))
         for e in obj["gates"]
     )
-    return Circuit(width=obj["width"], gates=gates, metadata=obj.get("metadata", {}))
+    return Circuit(width=obj["width"], gates=gates)

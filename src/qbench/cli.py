@@ -247,7 +247,7 @@ def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
                 continue
             provider = providers[profile.name]
             n = random_input(q, seed)
-            circuit = build_benchmark(q, n, seed=seed)
+            circuit = build_benchmark(q, n)
             handle = provider.submit(circuit, cfg.shots, clock, seed=seed, job_id=job_id)
             result = provider.poll(handle, clock if handle.exec_end is None else handle.exec_end)
             cost = provider.job_cost(handle)

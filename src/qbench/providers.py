@@ -132,6 +132,8 @@ class RecurringOutageSchedule:
     outage_status: TargetStatus = UNAVAILABLE
 
     def __post_init__(self) -> None:
+        if not all(type(v) is int for v in (self.period, self.outage_start, self.outage_len)):
+            raise ValueError("period, outage_start and outage_len must be ints")
         if self.period <= 0 or self.outage_len <= 0:
             raise ValueError("period and outage_len must be positive")
         if not 0 <= self.outage_start < self.period:
@@ -160,6 +162,8 @@ def DailyWindowSchedule(
     The window may wrap midnight (start > end), e.g. an evening-to-early-morning
     operations window.  It is the daily outage from ``end`` to the next ``start``.
     """
+    if type(start) is not int or type(end) is not int:
+        raise ValueError("window start and end must be ints")
     if not (0 <= start < DAY and 0 <= end < DAY):
         raise ValueError("window start and end must lie within [0, DAY)")
     if start == end:
@@ -230,12 +234,13 @@ class TargetProfile:
     error_mitigated: bool = False
 
     def __post_init__(self) -> None:
-        if self.qubits < 1:
-            raise ValueError(f"{self.name}: qubits must be >= 1")
-        if self.execution_seconds < 0:
-            raise ValueError(f"{self.name}: execution_seconds must be >= 0")
-        if self.gate_limit is not None and self.gate_limit < 0:
-            raise ValueError(f"{self.name}: gate_limit must be none or >= 0")
+        if type(self.qubits) is not int or self.qubits < 1:
+            raise ValueError(f"{self.name}: qubits must be an int >= 1")
+        if type(self.execution_seconds) is not int or self.execution_seconds < 0:
+            raise ValueError(f"{self.name}: execution_seconds must be an int >= 0")
+        limit = self.gate_limit
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise ValueError(f"{self.name}: gate_limit must be none or an int >= 0")
 
 
 @dataclass
@@ -291,8 +296,8 @@ class SimProvider:
         self, circuit: Circuit, shots: int, clock: int, *, seed: int, job_id: str | None = None
     ) -> JobHandle:
         """Validate, count the lowering, and enqueue; returns a handle, possibly terminal."""
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
+        if type(shots) is not int or shots < 1:
+            raise ValueError(f"shots {shots!r} is not an int >= 1")
         with self._lock:
             if job_id is None:
                 job_id = f"{self.target.name}-{len(self._spans):06d}"

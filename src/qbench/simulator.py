@@ -149,8 +149,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial shot sampling; keys are MSB-first bitstrings, ascending."""
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    if type(shots) is not int or shots < 0:
+        raise ValueError(f"shots {shots!r} is not an int >= 0")
     width = len(state).bit_length() - 1
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -213,8 +213,8 @@ def run_noisy(
     circuit: Circuit, noise: NoiseSpec, shots: int, seed: int
 ) -> dict[str, int]:
     """Sample ``shots`` measurements from the circuit under the given channel."""
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
+    if type(shots) is not int or shots < 0:
+        raise ValueError(f"shots {shots!r} is not an int >= 0")
     if isinstance(noise, GlobalDepolarizing):
         return sample_depolarized(circuit, census(circuit).n_2q, noise, shots, seed)
     if isinstance(noise, PauliTrajectory):

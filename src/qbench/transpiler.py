@@ -241,7 +241,7 @@ def transpile(circuit: Circuit, profile: GateSetProfile) -> TranspileResult:
         expansion, extra = _lower(g, profile)
         gates += expansion
         phase += extra
-    out = Circuit(circuit.width, tuple(gates), {**circuit.metadata, "profile": profile.name})
+    out = Circuit(circuit.width, tuple(gates))
     return TranspileResult(
         circuit=out,
         global_phase=phase % (2 * math.pi),
@@ -287,9 +287,9 @@ def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
     """``transpile(circuit, profile).census``, counted without lowering a gate.
 
     A circuit whose gates are exactly a benchmark's (``benchmark_input``, the
-    test ``ideal_distribution`` makes; metadata is never read) lowers to its
-    width's body, counted once per width and profile, plus one X per set bit
-    of its input.  Any other circuit has its gates counted by kind.
+    test ``ideal_distribution`` makes) lowers to its width's body, counted
+    once per width and profile, plus one X per set bit of its input.  Any
+    other circuit has its gates counted by kind.
     """
     n = benchmark_input(circuit)
     if n is None:

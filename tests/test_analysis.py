@@ -120,11 +120,18 @@ class TestInference:
             observed = p_clean + (1 - p_clean) / 2**q
             assert debias_uniform_floor(observed, q) == pytest.approx(p_clean, abs=1e-12)
         assert debias_uniform_floor(2**-q / 2, q) == 0.0  # clamps below the floor
+        assert debias_uniform_floor(0.0, q) == 0.0
+        assert debias_uniform_floor(1.0, q) == 1.0
 
     @pytest.mark.parametrize("q", [0, -1])
     def test_debias_refuses_a_width_below_one(self, q):
         with pytest.raises(ValueError, match="q must be"):
             debias_uniform_floor(0.5, q)
+
+    @pytest.mark.parametrize("observed", [1.5, -0.1, math.nan])
+    def test_debias_refuses_a_fidelity_outside_zero_to_one(self, observed):
+        with pytest.raises(ValueError, match=r"not in \[0, 1\]"):
+            debias_uniform_floor(observed, 8)
 
 
 class TestAggregate:

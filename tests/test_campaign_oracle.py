@@ -38,7 +38,7 @@ def oracle_run_campaign(cfg, store_path):
                             continue
                         job_seed = derive_seed(cfg.seed, day, sweep, profile.name, q)
                         n = random_input(q, job_seed)
-                        circuit = build_benchmark(q, n, seed=job_seed)
+                        circuit = build_benchmark(q, n)
                         job_id = f"{profile.name}-d{day:02d}s{sweep}-q{q:02d}"
                         handle = provider.submit(
                             circuit, cfg.shots, clock, seed=job_seed, job_id=job_id

@@ -99,7 +99,7 @@ def test_recognised_benchmark_census_matches_the_gate_count(q, profile):
 
 
 def look_alikes(q):
-    """Circuits carrying ``build_benchmark(q, n)``'s metadata whose gates are not its gates."""
+    """Circuits of ``build_benchmark(q, n)``'s width whose gates are not its gates."""
     n = random_input(q, 5) | 1 | (1 << (q - 1))  # the lowest and highest bit set
     built = build_benchmark(q, n)
     prefix, body = _x_prefix(q, n), _benchmark_body(q)
@@ -113,7 +113,7 @@ def look_alikes(q):
     }
     if len(prefix) > 1:
         cases["x-out-of-order"] = prefix[::-1] + body
-    return {name: Circuit(q, gates, built.metadata) for name, gates in cases.items()}
+    return {name: Circuit(q, gates) for name, gates in cases.items()}
 
 
 def _x(i):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -84,6 +85,9 @@ def test_ideal_output_rejects_out_of_range_n():
         ideal_output(3, 8)
     with pytest.raises(ValueError):
         ideal_output(3, -1)
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            ideal_output(q, 0)
 
 
 def test_benchmark_rejects_bad_input():
@@ -93,13 +97,16 @@ def test_benchmark_rejects_bad_input():
         build_benchmark(0, 0)
 
 
-def test_benchmark_metadata():
-    c = build_benchmark(6, 9, seed=123)
-    assert c.metadata["benchmark"] == "fourier_adder"
-    assert c.metadata["q"] == 6
-    assert c.metadata["n"] == 9
-    assert c.metadata["seed"] == 123
-    assert "seed" not in build_benchmark(6, 9).metadata
+def test_a_circuit_is_its_width_and_gates():
+    c = build_benchmark(8, 5)
+    assert [f.name for f in dataclasses.fields(Circuit)] == ["width", "gates"]
+    assert c == build_benchmark(8, 5) and hash(c) == hash(build_benchmark(8, 5))
+    assert c != build_benchmark(8, 6) and c != Circuit(9, c.gates)
+    text = circuit_to_json(c)
+    assert set(json.loads(text)) == {"gates", "width"}
+    assert circuit_from_json(text) == c
+    # any other key is ignored
+    assert circuit_from_json(json.dumps({**json.loads(text), "label": "x"})) == c
 
 
 def test_benchmark_x_prep_matches_bits():
@@ -142,7 +149,7 @@ def test_random_input_rejects_bad_width():
 
 
 def test_json_round_trip_benchmark():
-    c = build_benchmark(5, 19, seed=3)
+    c = build_benchmark(5, 19)
     back = circuit_from_json(circuit_to_json(c))
     assert back == c
 
@@ -160,7 +167,7 @@ def test_json_round_trip_every_kind():
         Gate(GateKind.ZZ, (1, 2), -0.75),
         Gate(GateKind.SWAP, (0, 2)),
     )
-    c = Circuit(width=3, gates=gates, metadata={"label": "kitchen sink"})
+    c = Circuit(width=3, gates=gates)
     back = circuit_from_json(circuit_to_json(c))
     assert back == c
     # canonical output is stable

@@ -44,16 +44,13 @@ CRITERION_08_STORE_SHA256 = "7da4c2b494b44360e4a9f751e90acadedb6b6cce6b421d67b2d
 WIDTHS = (1, 2, 3, 8, 13, 16, 22, 36, 56)
 
 
-def oracle_build_benchmark(q, n, *, seed=None):
+def oracle_build_benchmark(q, n):
     gates = [Gate(GateKind.X, (i,)) for i in range(q) if (n >> i) & 1]
     ladder = _fourier_ladder(q)
     gates += ladder
     gates += [Gate(GateKind.P, (i,), 2 * math.pi * (1 << i) / (1 << q)) for i in range(q)]
     gates += inverse(ladder)
-    meta = {"benchmark": "fourier_adder", "q": q, "n": n}
-    if seed is not None:
-        meta["seed"] = seed
-    return Circuit(width=q, gates=tuple(gates), metadata=meta)
+    return Circuit(width=q, gates=tuple(gates))
 
 
 def oracle_census(circuit):
@@ -77,11 +74,7 @@ def oracle_transpile(circuit, profile):
         native = profile.native_1q if g.arity == 1 else {profile.native_2q}
         if g.kind not in native:
             raise AssertionError(f"lowering emitted non-native {g.kind}")
-    out = Circuit(
-        width=circuit.width,
-        gates=tuple(gates),
-        metadata={**circuit.metadata, "profile": profile.name},
-    )
+    out = Circuit(width=circuit.width, gates=tuple(gates))
     return TranspileResult(
         circuit=out,
         global_phase=phase % (2 * math.pi),
@@ -109,8 +102,8 @@ def test_memoized_lowering_matches_oracle(q, profile_name):
     profile = PROFILES[profile_name]
     cases = []
     for n in inputs(q):
-        circuit = build_benchmark(q, n, seed=n)
-        source = oracle_build_benchmark(q, n, seed=n)
+        circuit = build_benchmark(q, n)
+        source = oracle_build_benchmark(q, n)
         assert circuit_to_json(circuit) == circuit_to_json(source)
         want = oracle_transpile(source, profile)
         cases.append((circuit, want, circuit_to_json(want.circuit)))

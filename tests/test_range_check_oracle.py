@@ -24,8 +24,8 @@ from qbench.circuit import (
 
 
 def oracle_range_check(width, gates):
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    if type(width) is not int or width < 1:
+        raise ValueError("width must be an int >= 1")
     for g in gates:
         if max(g.targets) >= width:
             raise ValueError(f"gate {g} out of range for width {width}")
@@ -83,14 +83,14 @@ def test_json_circuit_with_a_target_past_the_width():
         assert outcome(circuit_from_json, json.dumps(edited)) == want
 
 
-@pytest.mark.parametrize("width", [-2, 0, 1, 3])
+@pytest.mark.parametrize("width", [-2, 0, 1, 3, 2.5, 3.0, True])
 def test_empty_gate_list(width):
     assert_same_verdict(width, ())
 
 
 def test_width_zero_is_refused_before_any_gate():
-    assert assert_same_verdict(0, (Gate(GateKind.X, (0,)),)) == "width must be >= 1"
-    assert assert_same_verdict(0, (Gate(GateKind.X, (7,)),)) == "width must be >= 1"
+    assert assert_same_verdict(0, (Gate(GateKind.X, (0,)),)) == "width must be an int >= 1"
+    assert assert_same_verdict(0, (Gate(GateKind.X, (7,)),)) == "width must be an int >= 1"
 
 
 def _random_gate(rng, span):

@@ -162,7 +162,7 @@ def random_circuit(width, n_gates, seed):
 def test_benchmark_counts_match_oracle(q):
     profile = target_profile(PRESET_NAMES[q % len(PRESET_NAMES)]).gate_profile
     for seed in (1, q):
-        circuit = build_benchmark(q, random_input(q, seed), seed=seed)
+        circuit = build_benchmark(q, random_input(q, seed))
         n_2q = lowered_census(circuit, profile).n_2q
         for f_2qg in (0.0, PRESET_F_2QG[q % len(PRESET_F_2QG)], 1.0):
             noise = GlobalDepolarizing(f_2qg)
@@ -182,7 +182,7 @@ def test_one_point_ideals_match_the_presorted_oracle(q):
     profile = (EFFICIENT, REDUNDANT)[q % 2]
     for seed in (2, q + 40):
         n = random_input(q, seed)
-        circuit = build_benchmark(q, n, seed=seed)
+        circuit = build_benchmark(q, n)
         ideal = ideal_distribution(circuit)
         assert ideal == {ideal_output(q, n): 1.0}
         # the lowered count, and one two-qubit gate so that clean and scrambled shots mix
@@ -236,7 +236,7 @@ RUNNING_PRESETS = [
 def test_provider_counts_match_the_presorted_oracle(name):
     # a benchmark takes the one-outcome path, any other circuit its simulated ideal
     target = target_profile(name)
-    for circuit in (build_benchmark(6, 45, seed=3), random_circuit(6, 24, 3)):
+    for circuit in (build_benchmark(6, 45), random_circuit(6, 24, 3)):
         provider = SimProvider(target)
         handle = provider.submit(circuit, 500, 0, seed=9, job_id="j")
         result = provider.poll(handle, handle.exec_end)
@@ -359,8 +359,7 @@ def test_bitstrings_of_no_values():
 @given(st.data(), st.integers(1, 60))
 def test_build_benchmark_equals_the_checked_circuit(data, q):
     n = data.draw(st.sampled_from([0, (1 << q) - 1]) | st.integers(0, (1 << q) - 1))
-    meta = {"benchmark": "fourier_adder", "q": q, "n": n, "seed": 3}
-    assert build_benchmark(q, n, seed=3) == Circuit(q, _x_prefix(q, n) + _benchmark_body(q), meta)
+    assert build_benchmark(q, n) == Circuit(q, _x_prefix(q, n) + _benchmark_body(q))
 
 
 def test_circuit_still_refuses_a_gate_out_of_range():

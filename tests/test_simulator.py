@@ -142,6 +142,15 @@ class TestSampling:
         with pytest.raises(ValueError, match="not a power of two"):
             sample(np.ones(6, dtype=complex), 5, 1)
 
+    @pytest.mark.parametrize("shots", [2.5, 3.0, True, -1])
+    def test_shots_that_are_not_an_int_of_at_least_zero_are_refused(self, shots):
+        state = run_statevector(build_benchmark(3, 1))
+        with pytest.raises(ValueError, match="not an int >= 0"):
+            sample(state, shots, 1)
+        for noise in (GlobalDepolarizing(0.99), PauliTrajectory(0.01)):
+            with pytest.raises(ValueError, match="not an int >= 0"):
+                run_noisy(build_benchmark(3, 1), noise, shots, 1)
+
 
 class TestIdealDistribution:
     def test_matches_statevector_path(self):
@@ -155,22 +164,17 @@ class TestIdealDistribution:
         c = build_benchmark(30, 12345)
         assert ideal_distribution(c) == {ideal_output(30, 12345): 1.0}
 
-    def test_truncated_benchmark_is_simulated_not_read_from_metadata(self):
-        built = build_benchmark(4, 3)
-        truncated = Circuit(4, built.gates[:-5], built.metadata)
+    def test_truncated_benchmark_is_simulated(self):
+        truncated = Circuit(4, build_benchmark(4, 3).gates[:-5])
         c = circuit_from_json(circuit_to_json(truncated))
-        assert c.metadata["n"] == 3
         dist = ideal_distribution(c)
         assert sorted(dist) == ["0000", "0100", "1000", "1100"]
         assert all(p == pytest.approx(0.25) for p in dist.values())
 
     def test_benchmark_is_recognised_by_its_gates_alone(self):
-        # through JSON every gate is a new object, and the metadata is gone
+        # through JSON every gate is a new object
         c = circuit_from_json(circuit_to_json(Circuit(5, build_benchmark(5, 22).gates)))
         assert ideal_distribution(c) == {ideal_output(5, 22): 1.0}
-        # the metadata names an input the X prefix does not prepare
-        relabeled = Circuit(5, build_benchmark(5, 22).gates, build_benchmark(5, 7).metadata)
-        assert ideal_distribution(relabeled) == {ideal_output(5, 22): 1.0}
 
     def test_edited_body_is_simulated(self):
         # doubling every adder angle adds two, not one; the length is unchanged
