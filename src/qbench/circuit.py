@@ -68,10 +68,11 @@ class Gate:
         want = 1 if self.kind in ONE_QUBIT_KINDS else 2
         if len(self.targets) != want:
             raise ValueError(f"{self.kind.value} expects {want} target(s), got {self.targets}")
+        first, last = self.targets[0], self.targets[-1]  # all of them: one or two
+        if type(first) is not int or type(last) is not int or min(first, last) < 0:
+            raise ValueError(f"targets {self.targets} must be ints >= 0")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets {self.targets}")
-        if min(self.targets) < 0:
-            raise ValueError(f"negative target in {self.targets}")
         if self.kind in PARAMETRIC_KINDS:
             if self.theta is None or not math.isfinite(self.theta):
                 raise ValueError(f"{self.kind.value} requires a finite angle")

@@ -3,9 +3,10 @@
 Everything runs on an explicit integer clock (seconds since the campaign
 epoch); no wall time is read anywhere, which is what makes whole campaigns
 reproducible byte-for-byte.  A provider accepts circuits against a target
-profile (width, gate-set lowering, gate limit, billing, noise, queue model,
-availability schedule) and hands back job handles whose lifecycle is a pure
-function of the submission seed and the polling clock.
+profile (cloud, width, gate limit, billing, noise, queue model, availability
+schedule; the cloud fixes the gate-set lowering and the published queue
+figure) and hands back job handles whose lifecycle is a pure function of the
+submission seed and the polling clock.
 
 Status model:
 
@@ -31,19 +32,14 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from importlib import resources
+from typing import get_args
 
 import numpy as np
 
 from .circuit import Circuit, GateCensus
-from .costing import (
-    CostModel,
-    CreditBilling,
-    GateRateBilling,
-    Money,
-    PerShotBilling,
-)
+from .costing import CostModel, Money
 from .rng import derive_seed
 from .simulator import GlobalDepolarizing, NoiseSpec, run_noisy, sample_depolarized
 from .transpiler import (
@@ -216,24 +212,36 @@ class QueueModel:
 
 # --- target profile ------------------------------------------------------------
 
+# the cloud path fixes the lowering pipeline and the one queue figure it publishes
+_CLOUDS = {
+    "SimAWS": {"gate_profile": REDUNDANT, "exposes_queue_position": True},
+    "SimAzure": {"gate_profile": EFFICIENT, "exposes_avg_queue_time": True},
+}
+
 
 @dataclass(frozen=True)
 class TargetProfile:
+    """One target on one cloud; the last three fields come from its row in ``_CLOUDS``."""
+
     name: str
-    cloud: str  # "SimAWS" | "SimAzure"
+    cloud: str
     qubits: int
-    gate_profile: GateSetProfile
     billing: CostModel
     noise: NoiseSpec
     queue: QueueModel
     schedule: Schedule
     gate_limit: int | None = None
-    exposes_avg_queue_time: bool = False
-    exposes_queue_position: bool = False
     execution_seconds: int = 60
     error_mitigated: bool = False
+    gate_profile: GateSetProfile = field(init=False)
+    exposes_avg_queue_time: bool = field(default=False, init=False)
+    exposes_queue_position: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
+        if self.cloud not in _CLOUDS:
+            raise ValueError(f"{self.name}: unknown cloud {self.cloud!r}; known: {sorted(_CLOUDS)}")
+        for key, value in _CLOUDS[self.cloud].items():
+            object.__setattr__(self, key, value)
         if type(self.qubits) is not int or self.qubits < 1:
             raise ValueError(f"{self.name}: qubits must be an int >= 1")
         if type(self.execution_seconds) is not int or self.execution_seconds < 0:
@@ -436,34 +444,20 @@ class SimProvider:
 
 
 @cache
-def _price_table() -> dict:
+def _price_rows() -> dict[str, dict[str, str]]:
     text = resources.files("qbench.data").joinpath("price_table.json").read_text("utf-8")
-    return json.loads(text)
+    return json.loads(text)["bills"]
 
 
-def _ionq_gate_rate() -> GateRateBilling:
-    p = _price_table()["gate_rate"]["ionq"]
-    return GateRateBilling(
-        usd_1q=Money.from_usd(p["usd_1q"]),
-        usd_2q=Money.from_usd(p["usd_2q"]),
-        minimum=Money.from_usd(p["min_job"]),
-        minimum_mitigated=Money.from_usd(p["min_job_error_mitigated"]),
-    )
+_COST_MODELS = {model.__name__: model for model in get_args(CostModel)}
 
 
-def _credit_rate(tier: str) -> CreditBilling:
-    p = _price_table()["credit_rate"]["quantinuum"]
-    return CreditBilling(usd_per_credit=Money.from_usd(p[f"usd_per_credit_{tier}"]))
+def _bill(name: str) -> CostModel:
+    """The named row of ``price_table.json``: its model, with every USD amount parsed."""
+    row = dict(_price_rows()[name])
+    model = _COST_MODELS[row.pop("model")]
+    return model(**{key: Money.from_usd(usd) for key, usd in row.items()})
 
-
-def _per_shot(device: str) -> PerShotBilling:
-    p = _price_table()["per_shot"]
-    return PerShotBilling(
-        per_task=Money.from_usd(p["per_task"]), per_shot=Money.from_usd(p[device])
-    )
-
-
-_FREE = PerShotBilling(per_task=Money.zero(), per_shot=Money.zero())
 
 _AWS_QUEUE = QueueModel(mu=math.log(300.0), sigma=1.0)
 # bias 0.65 with sigma 1.2: the published estimate exceeds the actual wait for
@@ -481,12 +475,6 @@ _DEVICES = {
     "h2": (56, 0.9999),
 }
 
-# the cloud path fixes the lowering pipeline and which queue figure it publishes
-_CLOUDS = {
-    "SimAWS": {"gate_profile": REDUNDANT, "exposes_queue_position": True},
-    "SimAzure": {"gate_profile": EFFICIENT, "exposes_avg_queue_time": True},
-}
-
 _ALWAYS = AlwaysSchedule()
 _NEVER = AlwaysSchedule(UNAVAILABLE)
 # aria1 is down 6 h of every 36 h on the AWS path and 12 h on the Azure path
@@ -496,26 +484,21 @@ _ARIA1_AZURE_HOURS = RecurringOutageSchedule(36 * 3600, outage_start=24 * 3600, 
 # accepted and held
 _H1_NIGHTS = DailyWindowSchedule(start=17 * 3600, end=2 * 3600)
 
-# billing makers, called when a preset resolves, so the price table loads lazily
-_ARIA_SHOTS = partial(_per_shot, "aria")
-_HQC_HARDWARE = partial(_credit_rate, "hardware")
-_HQC_EMULATOR = partial(_credit_rate, "emulator")
-
-# preset: machine, cloud, billing maker, queue, schedule, gate-limit widths
+# preset: machine, cloud, price row, queue, schedule, gate-limit widths
 # (the accept/reject widths ``default_gate_limit`` splits; None: no limit)
 _PRESETS = {
-    "aria1-aws": ("aria", "SimAWS", _ARIA_SHOTS, _AWS_QUEUE, _ARIA1_AWS_HOURS, (16, 18)),
-    "aria1-azure": ("aria", "SimAzure", _ionq_gate_rate, _AZURE_QUEUE, _ARIA1_AZURE_HOURS, None),
-    "aria2-aws": ("aria", "SimAWS", _ARIA_SHOTS, _AWS_QUEUE, _NEVER, (16, 18)),
-    "aria2-azure": ("aria", "SimAzure", _ionq_gate_rate, _AZURE_QUEUE, _NEVER, None),
-    "forte1-aws": ("forte", "SimAWS", partial(_per_shot, "forte"), _AWS_QUEUE, _ALWAYS, (20, 22)),
-    "garnet-aws": ("garnet", "SimAWS", partial(_per_shot, "garnet"), _AWS_QUEUE, _ALWAYS, None),
-    "h1-azure": ("h1", "SimAzure", _HQC_HARDWARE, _SLOW_QUEUE, _H1_NIGHTS, None),
-    "h2-azure": ("h2", "SimAzure", _HQC_HARDWARE, _SLOW_QUEUE, _ALWAYS, None),
-    "aria1-emulator": ("aria", "SimAzure", lambda: _FREE, _EMULATOR_QUEUE, _ALWAYS, None),
-    "forte1-emulator": ("forte", "SimAzure", lambda: _FREE, _EMULATOR_QUEUE, _ALWAYS, None),
-    "h1-emulator": ("h1", "SimAzure", _HQC_EMULATOR, _EMULATOR_QUEUE, _ALWAYS, None),
-    "h2-emulator": ("h2", "SimAzure", _HQC_EMULATOR, _EMULATOR_QUEUE, _ALWAYS, None),
+    "aria1-aws": ("aria", "SimAWS", "aria-per-shot", _AWS_QUEUE, _ARIA1_AWS_HOURS, (16, 18)),
+    "aria1-azure": ("aria", "SimAzure", "ionq-gate-rate", _AZURE_QUEUE, _ARIA1_AZURE_HOURS, None),
+    "aria2-aws": ("aria", "SimAWS", "aria-per-shot", _AWS_QUEUE, _NEVER, (16, 18)),
+    "aria2-azure": ("aria", "SimAzure", "ionq-gate-rate", _AZURE_QUEUE, _NEVER, None),
+    "forte1-aws": ("forte", "SimAWS", "forte-per-shot", _AWS_QUEUE, _ALWAYS, (20, 22)),
+    "garnet-aws": ("garnet", "SimAWS", "garnet-per-shot", _AWS_QUEUE, _ALWAYS, None),
+    "h1-azure": ("h1", "SimAzure", "quantinuum-hardware", _SLOW_QUEUE, _H1_NIGHTS, None),
+    "h2-azure": ("h2", "SimAzure", "quantinuum-hardware", _SLOW_QUEUE, _ALWAYS, None),
+    "aria1-emulator": ("aria", "SimAzure", "free", _EMULATOR_QUEUE, _ALWAYS, None),
+    "forte1-emulator": ("forte", "SimAzure", "free", _EMULATOR_QUEUE, _ALWAYS, None),
+    "h1-emulator": ("h1", "SimAzure", "quantinuum-emulator", _EMULATOR_QUEUE, _ALWAYS, None),
+    "h2-emulator": ("h2", "SimAzure", "quantinuum-emulator", _EMULATOR_QUEUE, _ALWAYS, None),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -533,10 +516,9 @@ def target_profile(name: str) -> TargetProfile:
         name=name,
         cloud=cloud,
         qubits=qubits,
-        billing=billing(),
+        billing=_bill(billing),
         noise=GlobalDepolarizing(f_2qg),
         queue=queue,
         schedule=schedule,
         gate_limit=None if limit_widths is None else default_gate_limit(*limit_widths),
-        **_CLOUDS[cloud],
     )

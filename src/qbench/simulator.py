@@ -237,6 +237,9 @@ def sample_depolarized(
     in one ``np.unique`` and each distinct value rendered once, so the keys
     come out ascending.  Outcome values are held as 64-bit integers.
     """
+    for name, value in (("shots", shots), ("n_2q", n_2q)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} {value!r} is not an int >= 0")
     ideal = ideal_distribution(circuit)
     return _sample_depolarized(ideal, circuit.width, n_2q, noise, shots, seed)
 

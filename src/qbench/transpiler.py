@@ -90,7 +90,6 @@ PROFILES = {p.name: p for p in (EFFICIENT, REDUNDANT)}
 class TranspileResult:
     circuit: Circuit
     global_phase: float
-    source_census: GateCensus
     census: GateCensus
 
 
@@ -245,7 +244,6 @@ def transpile(circuit: Circuit, profile: GateSetProfile) -> TranspileResult:
     return TranspileResult(
         circuit=out,
         global_phase=phase % (2 * math.pi),
-        source_census=census(circuit),
         census=census(out),
     )
 

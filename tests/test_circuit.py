@@ -32,6 +32,22 @@ def test_gate_targets_distinct_and_nonnegative():
         Gate(GateKind.X, (-1,))
 
 
+@pytest.mark.parametrize(
+    "kind, targets",
+    [(GateKind.H, (1.0,)), (GateKind.X, (True,)), (GateKind.CX, (1.0, 0)),
+     (GateKind.CX, (0, False)), (GateKind.SWAP, ("0", 1))],
+)
+def test_gate_refuses_a_target_that_is_not_an_int(kind, targets):
+    with pytest.raises(ValueError, match="must be ints >= 0"):
+        Gate(kind, targets)
+
+
+def test_json_circuit_with_a_float_target_is_refused():
+    text = json.dumps({"width": 2, "gates": [{"kind": "h", "targets": [1.0]}]})
+    with pytest.raises(ValueError, match=r"targets \(1\.0,\) must be ints >= 0"):
+        circuit_from_json(text)
+
+
 def test_gate_angle_rules():
     with pytest.raises(ValueError):
         Gate(GateKind.RZ, (0,))  # parametric without angle

@@ -1,10 +1,12 @@
 """Differential oracle for the preset tables in ``providers``.
 
 ``ORACLE_MAKERS`` is the earlier hand-written form of every shipped preset:
-one constructor call per preset, each field spelled out, with the private
-price-table helpers it called copied alongside.  The tables must resolve
+one constructor call per preset, each field spelled out, with each published
+price written here as a literal rather than read from ``price_table.json``,
+so a typo in the data file fails the comparison.  The tables must resolve
 every name to an equal ``TargetProfile``, in the same order and with the
-same error for an unknown name.
+same error for an unknown name.  ``ORACLE_CLOUD_FACTS`` spells out what each
+preset's cloud fixes: its lowering and the one queue figure it publishes.
 """
 
 import json
@@ -13,6 +15,7 @@ from importlib import resources
 
 import pytest
 
+from qbench import providers
 from qbench.costing import CreditBilling, GateRateBilling, Money, PerShotBilling
 from qbench.providers import (
     PRESET_NAMES,
@@ -43,31 +46,18 @@ ORACLE_PRESET_NAMES = (
 )
 
 
-def _price_table() -> dict:
-    text = resources.files("qbench.data").joinpath("price_table.json").read_text("utf-8")
-    return json.loads(text)
+_IONQ_GATE_RATE = GateRateBilling(
+    usd_1q=Money.from_usd("0.00022"),
+    usd_2q=Money.from_usd("0.000975"),
+    minimum=Money.from_usd("12.42"),
+    minimum_mitigated=Money.from_usd("97.50"),
+)
+_HQC_HARDWARE = CreditBilling(usd_per_credit=Money.from_usd("9.7941"))
+_HQC_EMULATOR = CreditBilling(usd_per_credit=Money.from_usd("0.1088"))
 
 
-def _ionq_gate_rate() -> GateRateBilling:
-    p = _price_table()["gate_rate"]["ionq"]
-    return GateRateBilling(
-        usd_1q=Money.from_usd(p["usd_1q"]),
-        usd_2q=Money.from_usd(p["usd_2q"]),
-        minimum=Money.from_usd(p["min_job"]),
-        minimum_mitigated=Money.from_usd(p["min_job_error_mitigated"]),
-    )
-
-
-def _credit_rate(tier: str) -> CreditBilling:
-    p = _price_table()["credit_rate"]["quantinuum"]
-    return CreditBilling(usd_per_credit=Money.from_usd(p[f"usd_per_credit_{tier}"]))
-
-
-def _per_shot(device: str) -> PerShotBilling:
-    p = _price_table()["per_shot"]
-    return PerShotBilling(
-        per_task=Money.from_usd(p["per_task"]), per_shot=Money.from_usd(p[device])
-    )
+def _per_shot(usd: str) -> PerShotBilling:
+    return PerShotBilling(per_task=Money.from_usd("0.30"), per_shot=Money.from_usd(usd))
 
 
 _FREE = PerShotBilling(per_task=Money.zero(), per_shot=Money.zero())
@@ -83,142 +73,137 @@ ORACLE_MAKERS = {
         name="aria1-aws",
         cloud="SimAWS",
         qubits=25,
-        gate_profile=REDUNDANT,
-        billing=_per_shot("aria"),
+        billing=_per_shot("0.03"),
         noise=GlobalDepolarizing(0.9995),
         queue=_AWS_QUEUE,
         schedule=RecurringOutageSchedule(period=36 * 3600, outage_start=30 * 3600, outage_len=6 * 3600),
         gate_limit=default_gate_limit(),
-        exposes_queue_position=True,
     ),
     "aria1-azure": lambda: TargetProfile(
         name="aria1-azure",
         cloud="SimAzure",
         qubits=25,
-        gate_profile=EFFICIENT,
-        billing=_ionq_gate_rate(),
+        billing=_IONQ_GATE_RATE,
         noise=GlobalDepolarizing(0.9995),
         queue=_AZURE_QUEUE,
         schedule=RecurringOutageSchedule(period=36 * 3600, outage_start=24 * 3600, outage_len=12 * 3600),
-        exposes_avg_queue_time=True,
     ),
     "aria2-aws": lambda: TargetProfile(
         name="aria2-aws",
         cloud="SimAWS",
         qubits=25,
-        gate_profile=REDUNDANT,
-        billing=_per_shot("aria"),
+        billing=_per_shot("0.03"),
         noise=GlobalDepolarizing(0.9995),
         queue=_AWS_QUEUE,
         schedule=AlwaysSchedule(UNAVAILABLE),
         gate_limit=default_gate_limit(),
-        exposes_queue_position=True,
     ),
     "aria2-azure": lambda: TargetProfile(
         name="aria2-azure",
         cloud="SimAzure",
         qubits=25,
-        gate_profile=EFFICIENT,
-        billing=_ionq_gate_rate(),
+        billing=_IONQ_GATE_RATE,
         noise=GlobalDepolarizing(0.9995),
         queue=_AZURE_QUEUE,
         schedule=AlwaysSchedule(UNAVAILABLE),
-        exposes_avg_queue_time=True,
     ),
     "forte1-aws": lambda: TargetProfile(
         name="forte1-aws",
         cloud="SimAWS",
         qubits=36,
-        gate_profile=REDUNDANT,
-        billing=_per_shot("forte"),
+        billing=_per_shot("0.08"),
         noise=GlobalDepolarizing(0.9993),
         queue=_AWS_QUEUE,
         schedule=AlwaysSchedule(),
         gate_limit=default_gate_limit(20, 22),
-        exposes_queue_position=True,
     ),
     "garnet-aws": lambda: TargetProfile(
         name="garnet-aws",
         cloud="SimAWS",
         qubits=20,
-        gate_profile=REDUNDANT,
-        billing=_per_shot("garnet"),
+        billing=_per_shot("0.00145"),
         noise=GlobalDepolarizing(0.97),
         queue=_AWS_QUEUE,
         schedule=AlwaysSchedule(),
-        exposes_queue_position=True,
     ),
     "h1-azure": lambda: TargetProfile(
         name="h1-azure",
         cloud="SimAzure",
         qubits=20,
-        gate_profile=EFFICIENT,
-        billing=_credit_rate("hardware"),
+        billing=_HQC_HARDWARE,
         noise=GlobalDepolarizing(0.9998),
         queue=_SLOW_QUEUE,
         schedule=DailyWindowSchedule(start=17 * 3600, end=2 * 3600),
-        exposes_avg_queue_time=True,
     ),
     "h2-azure": lambda: TargetProfile(
         name="h2-azure",
         cloud="SimAzure",
         qubits=56,
-        gate_profile=EFFICIENT,
-        billing=_credit_rate("hardware"),
+        billing=_HQC_HARDWARE,
         noise=GlobalDepolarizing(0.9999),
         queue=_SLOW_QUEUE,
         schedule=AlwaysSchedule(),
-        exposes_avg_queue_time=True,
     ),
     "aria1-emulator": lambda: TargetProfile(
         name="aria1-emulator",
         cloud="SimAzure",
         qubits=25,
-        gate_profile=EFFICIENT,
         billing=_FREE,
         noise=GlobalDepolarizing(0.9995),
         queue=_EMULATOR_QUEUE,
         schedule=AlwaysSchedule(),
-        exposes_avg_queue_time=True,
     ),
     "forte1-emulator": lambda: TargetProfile(
         name="forte1-emulator",
         cloud="SimAzure",
         qubits=36,
-        gate_profile=EFFICIENT,
         billing=_FREE,
         noise=GlobalDepolarizing(0.9993),
         queue=_EMULATOR_QUEUE,
         schedule=AlwaysSchedule(),
-        exposes_avg_queue_time=True,
     ),
     "h1-emulator": lambda: TargetProfile(
         name="h1-emulator",
         cloud="SimAzure",
         qubits=20,
-        gate_profile=EFFICIENT,
-        billing=_credit_rate("emulator"),
+        billing=_HQC_EMULATOR,
         noise=GlobalDepolarizing(0.9998),
         queue=_EMULATOR_QUEUE,
         schedule=AlwaysSchedule(),
-        exposes_avg_queue_time=True,
     ),
     "h2-emulator": lambda: TargetProfile(
         name="h2-emulator",
         cloud="SimAzure",
         qubits=56,
-        gate_profile=EFFICIENT,
-        billing=_credit_rate("emulator"),
+        billing=_HQC_EMULATOR,
         noise=GlobalDepolarizing(0.9999),
         queue=_EMULATOR_QUEUE,
         schedule=AlwaysSchedule(),
-        exposes_avg_queue_time=True,
     ),
+}
+
+
+# preset: the lowering its cloud runs, publishes an average queue time,
+# publishes a queue position
+ORACLE_CLOUD_FACTS = {
+    "aria1-aws": (REDUNDANT, False, True),
+    "aria1-azure": (EFFICIENT, True, False),
+    "aria2-aws": (REDUNDANT, False, True),
+    "aria2-azure": (EFFICIENT, True, False),
+    "forte1-aws": (REDUNDANT, False, True),
+    "garnet-aws": (REDUNDANT, False, True),
+    "h1-azure": (EFFICIENT, True, False),
+    "h2-azure": (EFFICIENT, True, False),
+    "aria1-emulator": (EFFICIENT, True, False),
+    "forte1-emulator": (EFFICIENT, True, False),
+    "h1-emulator": (EFFICIENT, True, False),
+    "h2-emulator": (EFFICIENT, True, False),
 }
 
 
 def test_oracle_covers_every_name():
     assert tuple(ORACLE_MAKERS) == ORACLE_PRESET_NAMES
+    assert tuple(ORACLE_CLOUD_FACTS) == ORACLE_PRESET_NAMES
 
 
 @pytest.mark.parametrize("name", ORACLE_PRESET_NAMES)
@@ -227,6 +212,21 @@ def test_preset_matches_oracle(name):
     want = ORACLE_MAKERS[name]()
     assert got == want
     assert got.gate_profile is want.gate_profile  # the shared module profile, not a copy
+
+
+@pytest.mark.parametrize("name", ORACLE_PRESET_NAMES)
+def test_preset_cloud_facts(name):
+    got = target_profile(name)
+    gate_profile, avg_wait, position = ORACLE_CLOUD_FACTS[name]
+    assert got.gate_profile is gate_profile
+    assert (got.exposes_avg_queue_time, got.exposes_queue_position) == (avg_wait, position)
+
+
+def test_every_price_row_is_named_by_a_preset():
+    text = resources.files("qbench.data").joinpath("price_table.json").read_text("utf-8")
+    rows = json.loads(text)["bills"]
+    named = {bill for _, _, bill, *_ in providers._PRESETS.values()}
+    assert named == set(rows)
 
 
 def test_preset_names_keep_their_order():

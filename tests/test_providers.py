@@ -38,7 +38,7 @@ from qbench.providers import (
 )
 from qbench.rng import derive_seed
 from qbench.simulator import PauliTrajectory, run_noisy
-from qbench.transpiler import transpile
+from qbench.transpiler import EFFICIENT, REDUNDANT, lowered_census, transpile
 
 H = 3600
 
@@ -146,6 +146,23 @@ def test_daily_window_refuses_a_bound_that_is_not_an_int(start, end):
 def test_target_profile_refuses_a_count_that_is_not_an_int(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be"):
         dataclasses.replace(target_profile("garnet-aws"), **{field: bad})
+
+
+@pytest.mark.parametrize("cloud", ["SimGCP", "simaws", ""])
+def test_an_unknown_cloud_is_refused(cloud):
+    with pytest.raises(ValueError, match=r"unknown cloud .*; known: \['SimAWS', 'SimAzure'\]"):
+        dataclasses.replace(target_profile("garnet-aws"), cloud=cloud)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gate_profile", EFFICIENT), ("exposes_avg_queue_time", True),
+     ("exposes_queue_position", False)],
+)
+def test_a_cloud_fact_cannot_be_set_apart_from_the_cloud(field, value):
+    # dataclasses.replace raises ValueError here before Python 3.13, TypeError from it
+    with pytest.raises((ValueError, TypeError), match=f"{field} is declared with init=False"):
+        dataclasses.replace(target_profile("garnet-aws"), **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -483,6 +500,19 @@ def test_predicted_wait_only_where_exposed():
     aws = _provider("aria1-aws").submit(build_benchmark(5, 1), 100, 0, seed=1)
     assert aws.predicted_wait is None
     assert aws.actual_wait is not None
+
+
+def test_moving_a_target_to_another_cloud_takes_that_clouds_lowering_and_queue_figure():
+    aws = target_profile("garnet-aws")
+    azure = dataclasses.replace(aws, cloud="SimAzure")
+    circuit = build_benchmark(6, 1)
+    assert lowered_census(circuit, EFFICIENT) != lowered_census(circuit, REDUNDANT)
+    prov = SimProvider(azure)
+    h = prov.submit(circuit, 100, 0, seed=1)
+    assert h.census == lowered_census(circuit, EFFICIENT)
+    assert h.predicted_wait == azure.queue.predicted_wait()
+    assert prov.poll(h, h.exec_start - 1).queue_position is None
+    assert dataclasses.replace(azure, cloud="SimAWS") == aws
 
 
 def test_azure_outage_window_refuses():

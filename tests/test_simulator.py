@@ -26,6 +26,7 @@ from qbench.simulator import (
     run_noisy,
     run_statevector,
     sample,
+    sample_depolarized,
 )
 
 
@@ -150,6 +151,18 @@ class TestSampling:
         for noise in (GlobalDepolarizing(0.99), PauliTrajectory(0.01)):
             with pytest.raises(ValueError, match="not an int >= 0"):
                 run_noisy(build_benchmark(3, 1), noise, shots, 1)
+
+    @pytest.mark.parametrize(
+        "name, shots, n_2q",
+        [("shots", 2.5, 4), ("shots", True, 4), ("shots", -1, 4),
+         ("n_2q", 100, -3), ("n_2q", 100, 2.5), ("n_2q", 100, True)],
+    )
+    def test_sample_depolarized_refuses_a_count_that_is_not_an_int_of_at_least_zero(
+        self, name, shots, n_2q
+    ):
+        bad = shots if name == "shots" else n_2q
+        with pytest.raises(ValueError, match=rf"^{name} {bad!r} is not an int >= 0$"):
+            sample_depolarized(build_benchmark(3, 1), n_2q, GlobalDepolarizing(0.99), shots, 1)
 
 
 class TestIdealDistribution:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from qbench.circuit import Circuit, Gate, GateKind, build_benchmark, census
+from qbench.circuit import Circuit, Gate, GateKind, build_benchmark
 from qbench.simulator import circuit_unitary, gate_matrix
 from qbench.transpiler import (
     EFFICIENT,
@@ -79,12 +79,6 @@ def test_output_is_native_only():
 def test_transpile_deterministic():
     c = build_benchmark(7, 81)
     assert transpile(c, REDUNDANT) == transpile(c, REDUNDANT)
-
-
-def test_source_census_is_the_input_circuits():
-    c = build_benchmark(5, 4)
-    out = transpile(c, EFFICIENT)
-    assert out.source_census == census(c)
 
 
 def _unitary_with_phase(result):
