@@ -69,8 +69,9 @@ class Gate:
         if len(self.targets) != want:
             raise ValueError(f"{self.kind.value} expects {want} target(s), got {self.targets}")
         first, last = self.targets[0], self.targets[-1]  # all of them: one or two
-        if type(first) is not int or type(last) is not int or min(first, last) < 0:
-            raise ValueError(f"targets {self.targets} must be ints >= 0")
+        ints = type(first) is int and type(last) is int
+        if type(self.targets) is not tuple or not ints or min(first, last) < 0:
+            raise ValueError(f"targets {self.targets} must be ints >= 0 in a tuple")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets {self.targets}")
         if self.kind in PARAMETRIC_KINDS:

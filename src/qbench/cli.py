@@ -148,8 +148,7 @@ def load_config(path: str) -> CampaignConfig:
         shots = camp.getint("shots", 500)
         days = camp.getint("days", 1)
         sweeps = camp.getint("sweeps_per_day", 1)
-        env_seed = None if "seed" in camp else os.environ.get("QBENCH_SEED")
-        seed = camp.getint("seed", int(env_seed) if env_seed is not None else DEFAULT_SEED)
+        seed = camp.getint("seed", DEFAULT_SEED)
         cap_text = camp.get("budget_cap", "").strip()
         budget_cap = Money.from_usd(cap_text) if cap_text else None
         if not use:

@@ -18,13 +18,14 @@ desk-scale scope). Noise is modeled at two levels:
 * ``PauliTrajectory(p)`` samples trajectories: in each shot, after every
   two-qubit gate a uniformly random non-identity two-qubit Pauli is applied
   with probability p, and one measurement is drawn from the final state.
-  All shots' random numbers are drawn first, in the order a shot-by-shot
-  loop draws them (per shot: one ``random`` per two-qubit gate, one
-  ``integers`` per error, then the uniform its ``choice`` draws).  The shots
-  then evolve together on a trailing batch axis, each error applied to its
-  own shot's slice, and each outcome is that loop's ``choice`` call replayed
-  from the generator state saved for the shot, so the counts are the loop's.
-  Shots are batched in chunks whose kernel working set (the tensor,
+  The shots run in chunks of consecutive shots.  A chunk first draws its
+  shots' numbers in the order a shot-by-shot loop draws them (per shot: one
+  ``random`` per two-qubit gate, one ``integers`` per error, then the one
+  uniform that loop's ``choice`` draws).  Its shots then evolve together on a
+  trailing batch axis, each error applied to its own shot's slice, and each
+  outcome is picked from its shot's uniform by ``choice``'s own rule (the
+  first index whose normalised cumulative probability exceeds it), so the
+  counts are the loop's.  A chunk's kernel working set (the tensor,
   tensordot's transposed copy of it and its output) stays under
   ``_TRAJECTORY_BYTES``, 64 MiB: 85 shots a chunk at q = 14 and one at
   q = 20.  From q = 21 up a chunk is one shot, which alone exceeds the cap.
@@ -269,39 +270,35 @@ def _sample_depolarized(
 def _run_trajectories(
     circuit: Circuit, p: float, shots: int, rng: np.random.Generator
 ) -> dict[str, int]:
-    """``PauliTrajectory`` counts: every shot's draws first, then the shots in
-    batches (see the module docstring); no ``random`` is drawn when p is 0."""
+    """``PauliTrajectory`` counts, one chunk of shots at a time (see the module
+    docstring); no ``random`` is drawn when p is 0."""
     width = circuit.width
     ops = _ops(circuit)
     # one state's size, which also checks the width before anything is drawn
     per_chunk = max(1, _TRAJECTORY_BYTES // (3 * _ground(width).nbytes))
     two_qubit = [i for i, (_, targets) in enumerate(ops) if len(targets) == 2] if p > 0.0 else []
-    errors: list[tuple[int, int, int]] = []  # (shot, op index, index into _PAULI_2Q)
-    choice_states = []
-    for shot in range(shots):
-        for i in two_qubit:
-            if rng.random() < p:
-                errors.append((shot, i, rng.integers(0, len(_PAULI_2Q))))
-        choice_states.append(rng.bit_generator.state)
-        rng.random()  # what the choice draws; it is replayed from the saved state
-
     outcomes = np.empty(shots, dtype=np.int64)
     for lo in range(0, shots, per_chunk):
         n = min(per_chunk, shots - lo)
-        injected: dict[int, list[tuple[int, int]]] = {}
-        for shot, i, k in errors:
-            if lo <= shot < lo + n:
-                injected.setdefault(i, []).append((shot - lo, k))
+        injected: dict[int, list[tuple[int, int]]] = {}  # op index -> (column, index into _PAULI_2Q)
+        uniforms = []
+        for col in range(n):  # the draws of a shot-by-shot loop, in its order
+            for i in two_qubit:
+                if rng.random() < p:
+                    injected.setdefault(i, []).append((col, rng.integers(0, len(_PAULI_2Q))))
+            uniforms.append(rng.random())  # the one uniform the loop's ``choice`` draws
         t = _ground(width, n)
         for i, op in enumerate(ops):
             t = _evolve(t, width, [op])
             for col, k in injected.get(i, ()):
                 t[..., col] = _evolve(t[..., col], width, [(_PAULI_2Q[k], op[1])])
-        for col in range(n):
+        for col, u in enumerate(uniforms):
             # a contiguous copy, like the loop's state, so abs and sum round alike
             probs = np.abs(t[..., col].flatten()) ** 2
-            probs = probs / probs.sum()
-            rng.bit_generator.state = choice_states[lo + col]
-            outcomes[lo + col] = rng.choice(len(probs), p=probs)
+            probs /= probs.sum()
+            # ``choice``'s rule, in place: the cumulative sum over its last entry
+            cdf = np.cumsum(probs, out=probs)
+            cdf /= cdf[-1]
+            outcomes[lo + col] = cdf.searchsorted(u, side="right")
     vals, reps = np.unique(outcomes, return_counts=True)
     return dict(zip(_bitstrings(vals, width), reps.tolist()))

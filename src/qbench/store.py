@@ -3,8 +3,10 @@
 One record per line, canonical key order, lower_snake_case field names.  The
 format is deliberately dumb: a torn final write (process killed mid-append)
 loses at most that one line.  Opening the store streams the file one line at
-a time, so it never holds the file or a list of its lines; a final line
-without its newline is truncated away before anything new is appended.  The
+a time, so it never holds the file or a list of its lines.  A final line
+without its newline is skipped, and the first ``append`` cuts it away before
+it writes; the open itself never writes, so a read-only store opens even with
+a torn tail, and a read cannot cut a line another process is writing.  The
 records are kept in one map from job_id to record, in append order, rebuilt on
 every open.  A campaign writes through ``_IdStore``, which keeps the ids and
 drops the records.  A store that appends holds its file open, in append mode,
@@ -314,6 +316,7 @@ class JobStore:
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord | None] = {}  # job_id -> record, in append order
         self._appender: TextIO | None = None  # opened by the first append, kept until close()
+        self._torn_at: int | None = None  # where a torn final line starts; append cuts it
         try:
             self._open()
         except OSError as exc:  # a directory, a parent that cannot be made, an unreadable file
@@ -325,9 +328,8 @@ class JobStore:
             self.path.touch()
         with open(self.path, "rb") as fh:  # read-only, so an archived store still opens
             for lineno, line in enumerate(fh, start=1):
-                if not line.endswith(b"\n"):
-                    # torn final append: cut the file back to where the partial line starts
-                    os.truncate(self.path, fh.tell() - len(line))
+                if not line.endswith(b"\n"):  # a torn final append
+                    self._torn_at = fh.tell() - len(line)
                     break
                 if line.strip():
                     self._load(line, lineno)
@@ -369,6 +371,9 @@ class JobStore:
                 raise StoreError(f"duplicate job_id {record.job_id}")
             line = _json_text(stored)
             if self._appender is None:
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
                 self._appender = open(self.path, "a", encoding="utf-8", newline="\n")
             self._appender.write(line + "\n")
             self._appender.flush()  # a kill loses at most the line being written

@@ -42,6 +42,15 @@ def test_gate_refuses_a_target_that_is_not_an_int(kind, targets):
         Gate(kind, targets)
 
 
+@pytest.mark.parametrize(
+    "kind, targets", [(GateKind.H, [0]), (GateKind.CX, [0, 1])], ids=["one-target", "two-targets"]
+)
+def test_gate_refuses_targets_that_are_not_a_tuple(kind, targets):
+    # a list would make the gate unequal to its tuple twin and its circuit unhashable
+    with pytest.raises(ValueError, match=r"must be ints >= 0 in a tuple"):
+        Gate(kind, targets)
+
+
 def test_json_circuit_with_a_float_target_is_refused():
     text = json.dumps({"width": 2, "gates": [{"kind": "h", "targets": [1.0]}]})
     with pytest.raises(ValueError, match=r"targets \(1\.0,\) must be ints >= 0"):

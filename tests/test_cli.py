@@ -14,7 +14,7 @@ import pytest
 import qbench
 from qbench import cli
 from qbench import store as store_module
-from qbench.cli import ConfigError, _parse_qubits, load_config, main, record_from_poll
+from qbench.cli import DEFAULT_SEED, ConfigError, _parse_qubits, load_config, main, record_from_poll
 from qbench.costing import Money
 from qbench.providers import JobStatus
 from qbench.store import JobStore
@@ -186,15 +186,6 @@ def test_seed_outside_64_bits_is_exit_2_and_creates_no_store(tmp_path, seed):
     assert not store_path.exists()
 
 
-def test_env_seed_outside_64_bits_is_exit_2_and_creates_no_store(tmp_path, monkeypatch):
-    monkeypatch.setenv("QBENCH_SEED", "-1")
-    cfg = write_config(tmp_path / "c.ini", ONE_TARGET)
-    store_path = tmp_path / "run.jsonl"
-    code, out, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
-    assert (code, out, err) == (2, "", "config error: seed -1 is not in [0, 2**64)\n")
-    assert not store_path.exists()
-
-
 def test_largest_64_bit_seed_still_runs(tmp_path):
     cfg = write_config(tmp_path / "c.ini", seeded(2**64 - 1))
     store_path = tmp_path / "run.jsonl"
@@ -237,24 +228,19 @@ use = garnet-aws
     assert cfg.shots == 100
 
 
-def test_env_seed_fills_in_when_config_is_silent(tmp_path, monkeypatch):
-    body = "[campaign]\nqubits = 4\n[targets]\nuse = garnet-aws\n"
-    monkeypatch.setenv("QBENCH_SEED", "4242")
-    assert load_config(write_config(tmp_path / "c.ini", body)).seed == 4242
-    monkeypatch.delenv("QBENCH_SEED")
-    assert load_config(write_config(tmp_path / "c.ini", body)).seed == 20240917
-
-
 @pytest.mark.parametrize("env_seed", ["abc", "-1", str(2**64)])
 def test_env_seed_is_not_read_when_config_sets_seed(tmp_path, monkeypatch, env_seed):
-    cfg = write_config(tmp_path / "c.ini", seeded(5))
-    plain = tmp_path / "plain.jsonl"
-    assert run_cli("--store", str(plain), "campaign", "run", "--config", cfg)[0] == 0
-    monkeypatch.setenv("QBENCH_SEED", env_seed)
-    assert load_config(cfg).seed == 5
-    store_path = tmp_path / "run.jsonl"
-    assert run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)[0] == 0
-    assert store_path.read_bytes() == plain.read_bytes()
+    # nor when it sets none: a seedless config runs DEFAULT_SEED in any environment
+    for name, body, seed in (("seeded", seeded(5), 5), ("seedless", ONE_TARGET, DEFAULT_SEED)):
+        cfg = write_config(tmp_path / f"{name}.ini", body)
+        plain = tmp_path / f"{name}-plain.jsonl"
+        monkeypatch.delenv("QBENCH_SEED", raising=False)
+        assert run_cli("--store", str(plain), "campaign", "run", "--config", cfg)[0] == 0
+        monkeypatch.setenv("QBENCH_SEED", env_seed)
+        assert load_config(cfg).seed == seed
+        store_path = tmp_path / f"{name}-env.jsonl"
+        assert run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)[0] == 0
+        assert store_path.read_bytes() == plain.read_bytes()
 
 
 def test_campaign_run_end_to_end(tmp_path):
@@ -531,6 +517,21 @@ def test_read_only_command_on_a_missing_store_is_exit_3_and_creates_nothing(tmp_
     assert code == 3
     assert f"store error: no store file at {store_path}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(READ_ONLY_COMMANDS))
+def test_read_only_command_leaves_a_torn_store_as_it_was(tmp_path, command):
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    store_path = tmp_path / "run.jsonl"
+    assert run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)[0] == 0
+    with open(store_path, "ab") as fh:
+        fh.write(b'{"job_id": "torn-by-a-kil')  # a campaign killed mid-append
+    torn = store_path.read_bytes()
+    args = READ_ONLY_COMMANDS[command]
+    if args[-1] == "--out":
+        args = (*args, str(tmp_path / "out.csv"))
+    assert run_cli("--store", str(store_path), *args)[0] == 0
+    assert store_path.read_bytes() == torn
 
 
 UNWRITABLE_OUTS = {

@@ -118,10 +118,29 @@ def test_torn_tail_is_dropped_and_repaired(tmp_path):
         fh.write(b'{"job_id": "job-9999", "cloud": "SimA')  # crash mid-write
     with JobStore(path) as recovered:
         assert len(recovered) == 5
-        assert path.read_bytes().endswith(b"\n")
         # the repair is durable: appending continues cleanly
         recovered.append(make_record(5))
+        assert path.read_bytes().endswith(b"\n")
     assert len(JobStore(path)) == 6
+
+
+def test_open_of_a_torn_store_leaves_its_bytes_and_the_first_append_cuts_the_fragment(tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_store(path, [make_record(i) for i in range(3)])
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"job_id": "job-9999", "cloud": "SimA')
+    torn = path.read_bytes()
+    with JobStore(path) as store:
+        assert len(store) == 3
+        assert path.read_bytes() == torn  # an open only reads
+        store.query()
+        store.export_csv(tmp_path / "out.csv")
+        assert path.read_bytes() == torn
+        store.append(make_record(3))
+        line = json.dumps(make_record(3).to_dict(), sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == whole + line.encode() + b"\n"
+        store.append(make_record(4))  # the cut happens once
+    assert [r.job_id for r in JobStore(path).records()] == [f"job-{i:04d}" for i in range(5)]
 
 
 def test_corrupt_complete_line_is_an_error(tmp_path):

@@ -3,9 +3,10 @@
 ``OracleStore`` opens a store the earlier way: read the whole file, truncate
 a torn tail, then split what is left into lines.  ``oracle_export_csv`` is the
 earlier ``csv.writer`` export (the reports' ``csv.writer`` oracle is in
-``test_report_oracle``).  The streamed open must load the same records, leave
-the same file bytes and raise the same messages, and ``csv_line`` must write
-what ``csv.writer`` writes.
+``test_report_oracle``).  The streamed open must load the same records and
+raise the same messages without writing to the file; its first append must
+leave the bytes the oracle's cut left plus the appended line.  ``csv_line``
+must write what ``csv.writer`` writes.
 
 The oracle open splits lines with ``bytes.splitlines``, which also breaks at a
 lone CR; the streamed open breaks at LF only.  ``append`` never writes a raw
@@ -172,8 +173,12 @@ def assert_same_open(path, content):
     got, got_bytes = opened(JobStore, path, content)
     assert got == want
     # the whole-file open truncated a torn tail before it read the lines; the
-    # streamed one reaches the tail last, so an open that fails leaves the file
-    assert got_bytes == (content if isinstance(got, str) else want_bytes)
+    # streamed one only reads, and its first append makes the same cut
+    assert got_bytes == content
+    if not isinstance(got, str):
+        with JobStore(path) as store:
+            store.append(APPENDED)
+        assert path.read_bytes() == want_bytes + _line(APPENDED)
     return got
 
 
@@ -183,6 +188,7 @@ def _line(record):
 
 GOOD = b"".join(_line(processed_record(i) if i % 2 else make_record(i)) for i in range(4))
 TORN = b'{"job_id": "job-9999", "cloud": "SimA'
+APPENDED = make_record(9998)  # an id no store below holds
 
 
 def _malformed(case):

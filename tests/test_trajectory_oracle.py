@@ -1,10 +1,12 @@
 """Batched Pauli trajectories against the shot-by-shot oracle, at their edges.
 
-``run_noisy(..., PauliTrajectory(p), ...)`` draws every shot's random numbers
-first, in the order the oracle draws them, then evolves the shots together in
-chunks that keep their working memory under ``simulator._TRAJECTORY_BYTES``,
-and picks each outcome with the oracle's own ``choice`` call.  Its counts must
-equal ``oracle_run_trajectories`` exactly.
+``run_noisy(..., PauliTrajectory(p), ...)`` runs the shots in chunks that keep
+their working memory under ``simulator._TRAJECTORY_BYTES``.  Each chunk draws
+its own shots' random numbers, in the order the oracle draws them, evolves
+those shots together and picks each outcome from its shot's last uniform by
+the rule the oracle's ``choice`` call applies.  Its counts must equal
+``oracle_run_trajectories`` exactly, and its memory must not grow with the
+shot count.
 """
 
 import tracemalloc
@@ -92,6 +94,18 @@ def test_cap_smaller_than_one_state_runs_one_shot_at_a_time(monkeypatch):
     assert_matches_oracle(CIRCUITS["random-q5"], 0.2, 9, 4)
 
 
+def _traced_peak(circuit, p, shots, seed):
+    """The traced peak of one trajectory run, in bytes."""
+    tracemalloc.start()
+    try:
+        counts = run_noisy(circuit, PauliTrajectory(p), shots, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == shots
+    return peak
+
+
 def test_peak_memory_stays_within_the_cap_plus_one_state(monkeypatch):
     width, shots = 14, 10
     circuit = random_circuit(width, 24, seed=6)
@@ -99,11 +113,21 @@ def test_peak_memory_stays_within_the_cap_plus_one_state(monkeypatch):
     cap = _cap_for(circuit, 4)  # chunks of 4, 4 and 2 shots
     assert 3 * shots * state_bytes > cap + state_bytes  # one batch of every shot would not fit
     monkeypatch.setattr(simulator, "_TRAJECTORY_BYTES", cap)
-    tracemalloc.start()
-    try:
-        counts = run_noisy(circuit, PauliTrajectory(0.3), shots, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(counts.values()) == shots
+    peak = _traced_peak(circuit, 0.3, shots, 2)
     assert peak <= cap + state_bytes, (peak, cap)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+def test_many_shots_across_chunk_boundaries(monkeypatch, p):
+    circuit = CIRCUITS["efficient-q3"]
+    monkeypatch.setattr(simulator, "_TRAJECTORY_BYTES", _cap_for(circuit, 64))
+    assert_matches_oracle(circuit, p, 1000, 8)  # 15 full chunks and one of 40 shots
+
+
+def test_peak_memory_does_not_grow_with_the_shot_count(monkeypatch):
+    circuit = build_benchmark(2, 1)
+    monkeypatch.setattr(simulator, "_TRAJECTORY_BYTES", _cap_for(circuit, 100))
+    few, many = 2_000, 20_000
+    growth = _traced_peak(circuit, 0.1, many, 5) - _traced_peak(circuit, 0.1, few, 5)
+    # the int64 outcomes and np.unique's working copies of them, nothing per shot beyond
+    assert growth <= 32 * (many - few), growth
