@@ -48,18 +48,9 @@ def classify_success(fidelity: float) -> bool:
     return fidelity >= SUCCESS_THRESHOLD
 
 
-@dataclass(frozen=True)
-class FidelityScore:
-    value: float
-
-    @property
-    def success(self) -> bool:
-        return classify_success(self.value)
-
-
-def benchmark_fidelity(counts: Mapping[str, int], q: int, n: int) -> FidelityScore:
-    """Score measured counts against the analytic benchmark output delta."""
-    return FidelityScore(hellinger_fidelity(counts, {ideal_output(q, n): 1.0}))
+def benchmark_fidelity(counts: Mapping[str, int], q: int, n: int) -> float:
+    """Fidelity of measured counts against the analytic benchmark output delta."""
+    return hellinger_fidelity(counts, {ideal_output(q, n): 1.0})
 
 
 def debias_uniform_floor(observed: float, q: int) -> float:
@@ -72,25 +63,13 @@ def debias_uniform_floor(observed: float, q: int) -> float:
     return max(0.0, (observed - floor) / (1.0 - floor))
 
 
-@dataclass(frozen=True)
-class TwoQubitGateEstimate:
-    f_2qg: float
-    n_2q: int
-
-    @property
-    def error(self) -> float:
-        return 1.0 - self.f_2qg
-
-
-def infer_f2qg(circuit_fidelity: float, n_2q: int) -> TwoQubitGateEstimate | None:
+def infer_f2qg(circuit_fidelity: float, n_2q: int) -> float | None:
     """Per-two-qubit-gate fidelity from a circuit fidelity; None when undefined."""
     if not circuit_fidelity <= 1.0:  # NaN fails this too
         raise ValueError(f"circuit fidelity {circuit_fidelity} is not at most 1")
     if n_2q <= 0 or circuit_fidelity <= 0.0:
         return None
-    return TwoQubitGateEstimate(
-        f_2qg=circuit_fidelity ** (1.0 / n_2q), n_2q=n_2q
-    )
+    return circuit_fidelity ** (1.0 / n_2q)
 
 
 # --- aggregation -----------------------------------------------------------------

@@ -155,10 +155,17 @@ def census(circuit: Circuit) -> GateCensus:
     return GateCensus(n_1q=len(gates) - n_2q, n_2q=n_2q)
 
 
+def _check_benchmark(q: int, n: int) -> None:
+    """Refuse a width that is not an int >= 1 or an input not an int in [0, 2**q)."""
+    if type(q) is not int or q < 1:
+        raise ValueError(f"q={q!r} out of range: not an int >= 1")
+    if type(n) is not int or not 0 <= n < (1 << q):
+        raise ValueError(f"n={n!r} out of range: not an int in [0, 2**{q})")
+
+
 def ideal_output(q: int, n: int) -> str:
     """Expected measurement string of the benchmark: (n+1) mod 2**q, MSB first."""
-    if q < 1 or not 0 <= n < (1 << q):
-        raise ValueError(f"n={n} out of range for {q} qubits")
+    _check_benchmark(q, n)
     return format((n + 1) % (1 << q), f"0{q}b")
 
 
@@ -208,10 +215,7 @@ def _benchmark_body(q: int) -> tuple[Gate, ...]:
 
 def build_benchmark(q: int, n: int) -> Circuit:
     """Build the q-qubit Fourier-adder benchmark on input n."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not 0 <= n < (1 << q):
-        raise ValueError(f"n={n} out of range for {q} qubits")
+    _check_benchmark(q, n)
     # the prefix targets qubits below q and the body was checked when cached
     return _in_range(q, _x_prefix(q, n) + _benchmark_body(q))
 
@@ -226,8 +230,8 @@ def benchmark_input(circuit: Circuit) -> int | None:
 
 def random_input(q: int, seed: int) -> int:
     """Uniform integer in [0, 2**q), a pure function of (q, seed)."""
-    if q < 1 or q > 63:
-        raise ValueError("q out of supported range")
+    if type(q) is not int or not 1 <= q <= 63:
+        raise ValueError(f"q={q!r} out of range: not an int in [1, 63]")
     return mix64(derive_seed("input", q, seed)) & ((1 << q) - 1)
 
 

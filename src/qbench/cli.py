@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .analysis import REPORT_KINDS, benchmark_fidelity, write_report
+from .analysis import REPORT_KINDS, benchmark_fidelity, classify_success, write_report
 from .circuit import build_benchmark, random_input
 from .costing import Money
 from .providers import (
@@ -43,7 +43,7 @@ from .providers import (
 )
 from .rng import derive_seed
 from .simulator import GlobalDepolarizing
-from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, _IdStore, default_store_path
+from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, _IdStore
 
 DEFAULT_SEED = 20240917
 SUBMIT_SPACING = 300  # seconds between consecutive submissions in a sweep
@@ -207,7 +207,7 @@ def record_from_poll(
     Results, scores and execution times are kept only when the job was processed.
     """
     processed = result.status is JobStatus.PROCESSED
-    score = benchmark_fidelity(result.counts, q, n) if processed else None
+    fidelity = benchmark_fidelity(result.counts, q, n) if processed else None
     return JobRecord(
         job_id=handle.job_id,
         cloud=handle.target.cloud,
@@ -223,8 +223,8 @@ def record_from_poll(
         actual_wait=handle.actual_wait if processed else None,
         census=handle.census,
         counts=result.counts,
-        fidelity=score.value if processed else None,
-        success=score.success if processed else None,
+        fidelity=fidelity,
+        success=classify_success(fidelity) if processed else None,
         error_message=result.error_message,
     )
 
@@ -338,11 +338,7 @@ def _parse_filters(pairs: Sequence[str]) -> dict:
 
 
 def _resolve_store(flag: str | None, config_value: str | None = None) -> str:
-    if flag:
-        return flag
-    if config_value:
-        return config_value
-    return str(default_store_path())
+    return flag or config_value or os.environ.get("QBENCH_STORE", "qbench_jobs.jsonl")
 
 
 def _open_store(flag: str | None) -> JobStore:

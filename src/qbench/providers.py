@@ -6,7 +6,10 @@ reproducible byte-for-byte.  A provider accepts circuits against a target
 profile (cloud, width, gate limit, billing, noise, queue model, availability
 schedule; the cloud fixes the gate-set lowering and the published queue
 figure) and hands back job handles whose lifecycle is a pure function of the
-submission seed and the polling clock.
+submission seed and the polling clock.  Admission is decided here alone: a
+job is refused when its width exceeds the target's capacity or its lowered
+gate count exceeds the gate limit, which ``default_gate_limit`` sets for the
+presets that have one.
 
 Status model:
 
@@ -38,7 +41,7 @@ from typing import get_args
 
 import numpy as np
 
-from .circuit import Circuit, GateCensus
+from .circuit import Circuit, GateCensus, build_benchmark
 from .costing import CostModel, Money
 from .rng import derive_seed
 from .simulator import GlobalDepolarizing, NoiseSpec, run_noisy, sample_depolarized
@@ -47,8 +50,6 @@ from .transpiler import (
     REDUNDANT,
     GateSetProfile,
     TranspileResult,
-    check_gate_limit,
-    default_gate_limit,
     lowered_census,
     transpile,
 )
@@ -343,7 +344,7 @@ class SimProvider:
             )
             return handle
         handle.census = lowered_census(circuit, t.gate_profile)
-        if not check_gate_limit(handle.census.total, t.gate_limit):
+        if t.gate_limit is not None and handle.census.total > t.gate_limit:
             handle.status = JobStatus.ERROR
             handle.error_message = (
                 f"lowered gate count {handle.census.total} exceeds limit {t.gate_limit}"
@@ -483,6 +484,22 @@ _ARIA1_AZURE_HOURS = RecurringOutageSchedule(36 * 3600, outage_start=24 * 3600, 
 # h1's nightly operations window, 17:00 to 02:00; submissions outside it are
 # accepted and held
 _H1_NIGHTS = DailyWindowSchedule(start=17 * 3600, end=2 * 3600)
+
+
+@cache
+def default_gate_limit(accept_q: int = 16, reject_q: int = 18) -> int:
+    """Submission gate cap splitting two benchmark widths under REDUNDANT.
+
+    Computed as the midpoint between the largest possible accept_q total
+    (all input bits set) and the smallest possible reject_q total (input 0),
+    so acceptance depends only on width, never on the benchmark input.
+    """
+    hi = lowered_census(build_benchmark(accept_q, (1 << accept_q) - 1), REDUNDANT).total
+    lo = lowered_census(build_benchmark(reject_q, 0), REDUNDANT).total
+    if hi >= lo:
+        raise ValueError(f"widths {accept_q}/{reject_q} do not separate")
+    return (hi + lo) // 2
+
 
 # preset: machine, cloud, price row, queue, schedule, gate-limit widths
 # (the accept/reject widths ``default_gate_limit`` splits; None: no limit)

@@ -4,10 +4,11 @@ State layout follows the package bit-order convention: amplitude index v is
 the integer sum(bit_i << i). Reshaping a 2**q vector to [2]*q puts qubit
 q-1-j on tensor axis j (numpy C order, most significant axis first).
 
-Every evolution (a statevector, a unitary's columns, a noisy trajectory) goes
-through the one kernel ``_evolve``. ``_ground`` caps widths at 24 qubits (a
-complex128 vector at 24 qubits is 256 MiB; anything wider is out of
-desk-scale scope). Noise is modeled at two levels:
+Every evolution (a statevector, a unitary's columns, the equivalence check's
+probe states, a noisy trajectory) goes through the one kernel ``_evolve``.
+``_ground`` caps widths at 24 qubits (a complex128 vector at 24 qubits is
+256 MiB; anything wider is out of desk-scale scope). Noise is modeled at two
+levels:
 
 * ``GlobalDepolarizing(f_2qg)`` works at the distribution level: each shot is
   drawn from the ideal output distribution with probability f_2qg ** n_2q and
@@ -146,6 +147,36 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     # basis columns ride along as a trailing batch axis
     u = np.eye(dim, dtype=complex).reshape([2] * circuit.width + [dim])
     return _evolve(u, circuit.width, _ops(circuit)).reshape(dim, dim)
+
+
+def verify_equivalence(a: Circuit, b: Circuit) -> float:
+    """Minimum state overlap |<psi_a|psi_b>|^2 across probe inputs.
+
+    Probes are the all-zeros state plus 8 random product states (an RY/RZ
+    pair per qubit, seeded with 20240917, applied to |0...0>).  The 9 probes
+    are stacked on a trailing batch axis, so ``a`` and ``b`` each evolve once,
+    as a ``[2]*width + [9]`` tensor.  Insensitive to global phase.  Capped at
+    10 qubits.
+    """
+    if a.width != b.width:
+        raise ValueError("circuits must have equal width")
+    width = a.width
+    if width > 10:
+        raise ValueError("equivalence check capped at 10 qubits")
+    rng = np.random.default_rng(20240917)
+    probes = [_ground(width)]
+    for _ in range(8):
+        prep: list[Gate] = []
+        for qubit in range(width):
+            prep.append(Gate(GateKind.RY, (qubit,), float(rng.uniform(0, math.pi))))
+            prep.append(Gate(GateKind.RZ, (qubit,), float(rng.uniform(0, 2 * math.pi))))
+        probes.append(_evolve(probes[0], width, _ops(Circuit(width, tuple(prep)))))
+    batch = np.stack(probes, axis=-1)
+    sa = _evolve(batch, width, _ops(a)).reshape(-1, len(probes))
+    sb = _evolve(batch, width, _ops(b)).reshape(-1, len(probes))
+    # each probe's state copied out on its own, as the loop's states were, so
+    # that BLAS sums the overlap alike
+    return min(1.0, *(abs(np.vdot(x.copy(), y.copy())) ** 2 for x, y in zip(sa.T, sb.T)))
 
 
 def sample(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:

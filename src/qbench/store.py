@@ -26,9 +26,11 @@ value against its declared type (the keys of an object field too), then
 and holds the decoded record, so it refuses what the open refuses (the open
 adds ``path:line``) and holds each field as its declared type.  Timestamps
 are integer seconds from the campaign epoch.  Query supports equality on any
-field and range operators via ``field__ge / __gt / __le / __lt`` suffixes; a
-filter value may be given as the field's type (``Money``, ``JobStatus``) or
-in its stored form (micro-USD, status text).  Results are ordered by
+field and range operators via ``field__ge / __gt / __le / __lt`` suffixes,
+except on ``census`` and ``counts``.  A filter value must be the field's type
+(``Money``, ``JobStatus``) or its stored form (micro-USD, status text naming a
+status), checked as a read checks it; None matches an optional field by
+equality only.  Any other filter raises ``StoreError``.  Results are ordered by
 (submitted_at, job_id) so equal filters always produce identical bytes on
 export.  CSV rows (export and reports) go through ``csv_line``, which writes
 the bytes of ``csv.writer``'s default dialect.
@@ -286,15 +288,39 @@ _RANGE_OPS = {
 }
 
 
+def _filter_types(typ: Any) -> frozenset[type]:
+    """The types a filter on a field of type ``typ`` may hold: ``typ`` and its
+    stored form's; an int passes for a float, and a bool never for an int."""
+    stored = _STORED_AS.get(typ, (typ,))[0]
+    types = {get_origin(typ) or typ, get_origin(stored) or stored}
+    return frozenset(types | {int} if typ is float else types)
+
+
+_FILTER_TYPES = {name: _filter_types(typ) for name, (typ, _) in RECORD_FIELDS.items()}
+
+
 def _predicate(key: str, want: Any):
+    """One filter's test, with the filter checked here, once, not per record."""
     name, _, op = key.partition("__")
     if name not in RECORD_FIELDS:
         raise StoreError(f"unknown query field {name!r}")
+    if op and op not in _RANGE_OPS:
+        raise StoreError(f"unknown query operator {op!r}")
+    (typ, optional), types = RECORD_FIELDS[name], _FILTER_TYPES[name]
+    if op and dict in types:  # census and counts are stored as JSON objects, which do not order
+        raise StoreError(f"query field {name!r} takes no range operator")
+    if want is None:
+        if not optional:
+            raise StoreError(f"query field {name!r} is never None")
+        if op:
+            raise StoreError(f"query field {name!r}: None takes no range operator")
+    elif type(want) not in types:
+        raise StoreError(f"query field {name!r} holds {typ.__name__}, not {want!r:.40}")
+    elif type(want) is str and typ is JobStatus and want not in _STATUSES:
+        raise StoreError(f"query field {name!r}: {want!r:.40} names no job status")
     want = _flat(want)  # a Money or JobStatus filter compares like the stored field
     if not op:
         return lambda r: _flat(getattr(r, name)) == want
-    if op not in _RANGE_OPS:
-        raise StoreError(f"unknown query operator {op!r}")
     cmp = _RANGE_OPS[op]
 
     def test(r: JobRecord) -> bool:
@@ -434,8 +460,3 @@ class _IdStore(JobStore):
 
     def _keep(self, record: JobRecord) -> None:
         self._records[record.job_id] = None  # the id is taken; no record is held
-
-
-def default_store_path() -> Path:
-    """Store location: QBENCH_STORE env var, else ./qbench_jobs.jsonl."""
-    return Path(os.environ.get("QBENCH_STORE", "qbench_jobs.jsonl"))

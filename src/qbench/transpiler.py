@@ -27,7 +27,9 @@ table, derived by lowering one sample gate of each kind through the same
 rules.  A benchmark's kind counts follow from its width and its X prefix, so
 each width's body is counted once per profile.  Billing, gate limits and
 distribution-level noise read only that census, so ``transpile`` is needed
-only where lowered gates are run.
+only where lowered gates are run.  Lowering is all this module decides: a
+target's gate limit is set and enforced in ``providers``, and a lowering is
+checked against its source by ``simulator.verify_equivalence``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from .circuit import (
     GateKind,
     _benchmark_body,
     benchmark_input,
-    build_benchmark,
     census,
 )
-from .simulator import _evolve, _ground, _ops, gate_matrix
+from .simulator import gate_matrix
 # no longer called here; bench/tracing.py still wraps this module's name
 from .simulator import run_statevector  # noqa: F401
 
@@ -296,53 +297,3 @@ def lowered_census(circuit: Circuit, profile: GateSetProfile) -> GateCensus:
     x_1q, x_2q = _census_per_kind(profile)[GateKind.X]
     bits = n.bit_count()
     return GateCensus(n_1q=body.n_1q + x_1q * bits, n_2q=body.n_2q + x_2q * bits)
-
-
-def verify_equivalence(a: Circuit, b: Circuit) -> float:
-    """Minimum state overlap |<psi_a|psi_b>|^2 across probe inputs.
-
-    Probes are the all-zeros state plus 8 random product states (an RY/RZ
-    pair per qubit, seeded with 20240917, applied to |0...0>).  The 9 probes
-    are stacked on a trailing batch axis, so ``a`` and ``b`` each evolve once,
-    as a ``[2]*width + [9]`` tensor.  Insensitive to global phase.  Capped at
-    10 qubits.
-    """
-    if a.width != b.width:
-        raise ValueError("circuits must have equal width")
-    width = a.width
-    if width > 10:
-        raise ValueError("equivalence check capped at 10 qubits")
-    rng = np.random.default_rng(20240917)
-    probes = [_ground(width)]
-    for _ in range(8):
-        prep: list[Gate] = []
-        for qubit in range(width):
-            prep.append(Gate(GateKind.RY, (qubit,), float(rng.uniform(0, math.pi))))
-            prep.append(Gate(GateKind.RZ, (qubit,), float(rng.uniform(0, 2 * math.pi))))
-        probes.append(_evolve(probes[0], width, _ops(Circuit(width, tuple(prep)))))
-    batch = np.stack(probes, axis=-1)
-    sa = _evolve(batch, width, _ops(a)).reshape(-1, len(probes))
-    sb = _evolve(batch, width, _ops(b)).reshape(-1, len(probes))
-    # each probe's state copied out on its own, as the loop's states were, so
-    # that BLAS sums the overlap alike
-    return min(1.0, *(abs(np.vdot(x.copy(), y.copy())) ** 2 for x, y in zip(sa.T, sb.T)))
-
-
-def check_gate_limit(total_gates: int, limit: int | None) -> bool:
-    """True when the circuit fits; a limit of None never rejects."""
-    return limit is None or total_gates <= limit
-
-
-@cache
-def default_gate_limit(accept_q: int = 16, reject_q: int = 18) -> int:
-    """Submission gate cap splitting two benchmark widths under REDUNDANT.
-
-    Computed as the midpoint between the largest possible accept_q total
-    (all input bits set) and the smallest possible reject_q total (input 0),
-    so acceptance depends only on width, never on the benchmark input.
-    """
-    hi = lowered_census(build_benchmark(accept_q, (1 << accept_q) - 1), REDUNDANT).total
-    lo = lowered_census(build_benchmark(reject_q, 0), REDUNDANT).total
-    if hi >= lo:
-        raise ValueError(f"widths {accept_q}/{reject_q} do not separate")
-    return (hi + lo) // 2

@@ -158,8 +158,8 @@ def test_criterion_05_noise_round_trip():
         counts = run_noisy(bench, GlobalDepolarizing(f), shots=shots, seed=round(f * 1000))
         observed = counts.get(ideal_output(q, 0), 0) / shots
         estimate = infer_f2qg(debias_uniform_floor(observed, q), n_2q)
-        recovered.append(estimate.f_2qg)
-        ok = ok and abs((1 - estimate.f_2qg) - (1 - f)) <= 0.1 * (1 - f)
+        recovered.append(estimate)
+        ok = ok and abs((1 - estimate) - (1 - f)) <= 0.1 * (1 - f)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     extra = ", ".join(f"{v:.5f}" for v in recovered) + f"; {elapsed:.1f}s"

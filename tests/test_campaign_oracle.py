@@ -8,7 +8,7 @@ its own status, per-target and cost tallies.  The job iterator plus
 
 import pytest
 
-from qbench.analysis import benchmark_fidelity
+from qbench.analysis import benchmark_fidelity, classify_success
 from qbench.circuit import build_benchmark, random_input
 from qbench.cli import SUBMIT_SPACING, load_config, run_campaign
 from qbench.costing import Money
@@ -48,8 +48,8 @@ def oracle_run_campaign(cfg, store_path):
                         cost = provider.job_cost(handle)
                         fidelity = success = None
                         if result.status is JobStatus.PROCESSED:
-                            score = benchmark_fidelity(result.counts, q, n)
-                            fidelity, success = score.value, score.success
+                            fidelity = benchmark_fidelity(result.counts, q, n)
+                            success = classify_success(fidelity)
                         processed = result.status is JobStatus.PROCESSED
                         store.append(
                             JobRecord(

@@ -122,6 +122,26 @@ def test_benchmark_rejects_bad_input():
         build_benchmark(0, 0)
 
 
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (build_benchmark, (3, True)),  # would build the n = 1 circuit
+        (build_benchmark, (True, 0)),
+        (build_benchmark, (2.0, 1)),
+        (build_benchmark, (3, 1.0)),
+        (ideal_output, (3, True)),  # would read '010'
+        (ideal_output, (2.0, 1)),
+        (ideal_output, (3, 1.0)),
+        (random_input, (True, 5)),  # would draw 0
+        (random_input, (8.0, 5)),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_a_width_or_input_that_is_not_an_int_is_refused(make, args):
+    with pytest.raises(ValueError, match="not an int"):
+        make(*args)
+
+
 def test_a_circuit_is_its_width_and_gates():
     c = build_benchmark(8, 5)
     assert [f.name for f in dataclasses.fields(Circuit)] == ["width", "gates"]

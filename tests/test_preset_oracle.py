@@ -25,10 +25,11 @@ from qbench.providers import (
     QueueModel,
     RecurringOutageSchedule,
     TargetProfile,
+    default_gate_limit,
     target_profile,
 )
 from qbench.simulator import GlobalDepolarizing
-from qbench.transpiler import EFFICIENT, REDUNDANT, default_gate_limit
+from qbench.transpiler import EFFICIENT, REDUNDANT
 
 ORACLE_PRESET_NAMES = (
     "aria1-aws",

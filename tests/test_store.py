@@ -10,7 +10,7 @@ from qbench import store as store_module
 from qbench.circuit import GateCensus, ideal_output
 from qbench.costing import Money
 from qbench.providers import JobStatus
-from qbench.store import JobRecord, JobStore, StoreError, default_store_path
+from qbench.store import JobRecord, JobStore, StoreError
 
 TARGETS = ["aria1-aws", "aria1-azure", "h1-azure", "garnet-aws"]
 
@@ -397,6 +397,53 @@ def test_query_accepts_job_status_values(tmp_path):
     assert store.query(status=JobStatus.CANCELED) == []
 
 
+def test_query_takes_each_field_type_or_its_stored_form(tmp_path):
+    done = processed_record(1)
+    store = write_store(tmp_path / "log.jsonl", [make_record(0), done])
+    ids = lambda **filters: [r.job_id for r in store.query(**filters)]
+    assert ids(fidelity=None) == ["job-0000"]  # None matches an optional field
+    assert ids(fidelity__ge=0) == ["job-0001"]  # an int passes for a float
+    assert ids(census=GateCensus(200, 80)) == ids(census=done.census.as_dict()) == ["job-0001"]
+    assert ids(counts=done.counts) == ["job-0001"]
+    assert ids(success=True) == ids(status="processed") == ["job-0001"]
+
+
+@pytest.mark.parametrize(
+    "filters",
+    [
+        {"qubits": "4"},
+        {"qubits__ge": "4"},
+        {"qubits": True},  # a bool never passes for an int
+        {"qubits": 4.0},
+        {"qubits": None},  # not an optional field
+        {"status": "procesed"},
+        {"cost__gt": "x"},
+        {"cost": 1.03},  # neither Money nor micro-USD
+        {"census__ge": {}},
+        {"census__lt": GateCensus(1, 1)},
+        {"counts__gt": {}},
+        {"fidelity__ge": None},
+        {"fidelity": "0.9"},
+        {"success": 1},
+    ],
+    ids=repr,
+)
+def test_query_refuses_a_mistyped_filter(tmp_path, filters):
+    store = write_store(tmp_path / "log.jsonl", [make_record(0), processed_record(1)])
+    (key,) = filters
+    field = key.partition("__")[0]
+    with pytest.raises(StoreError, match=f"query field '{field}'"):
+        store.query(**filters)
+    with pytest.raises(StoreError, match=f"query field '{field}'"):
+        store.export_csv(tmp_path / "out.csv", **filters)
+
+
+def test_query_checks_its_filters_with_no_record_to_test(tmp_path):
+    store = JobStore(tmp_path / "empty.jsonl")
+    with pytest.raises(StoreError, match="query field 'qubits'"):
+        store.query(qubits__ge="4")
+
+
 def test_export_csv_round_trip(tmp_path):
     tricky = processed_record(0, error_message='queue said "later", twice')
     store = write_store(tmp_path / "log.jsonl", [tricky, make_record(1)])
@@ -423,13 +470,6 @@ def test_export_csv_columns_and_filters(tmp_path):
     assert all(row[1] == "processed" for row in parsed[1:])
     with pytest.raises(StoreError):
         store.export_csv(out, columns=["job_id", "nope"])
-
-
-def test_default_store_path(monkeypatch, tmp_path):
-    monkeypatch.setenv("QBENCH_STORE", str(tmp_path / "env.jsonl"))
-    assert str(default_store_path()) == str(tmp_path / "env.jsonl")
-    monkeypatch.delenv("QBENCH_STORE")
-    assert str(default_store_path()).endswith("qbench_jobs.jsonl")
 
 
 def test_empty_store(tmp_path):

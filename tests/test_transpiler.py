@@ -9,23 +9,16 @@ profile) and are frozen here on purpose: a change in any expansion shows up
 as a count drift before it shows up as a subtle cost-model shift.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qbench.circuit import Circuit, Gate, GateKind, build_benchmark
-from qbench.simulator import circuit_unitary, gate_matrix
-from qbench.transpiler import (
-    EFFICIENT,
-    PROFILES,
-    REDUNDANT,
-    check_gate_limit,
-    default_gate_limit,
-    euler_zyz,
-    transpile,
-    verify_equivalence,
-)
+from qbench.providers import JobStatus, SimProvider, default_gate_limit, target_profile
+from qbench.simulator import circuit_unitary, gate_matrix, verify_equivalence
+from qbench.transpiler import EFFICIENT, PROFILES, REDUNDANT, euler_zyz, lowered_census, transpile
 
 # (q, profile) -> (n_1q, n_2q) for the n=0 benchmark, hand-derived
 FROZEN_COUNTS = {
@@ -186,12 +179,25 @@ class TestEuler:
 
 
 class TestGateLimit:
+    """The limit a provider admits a job by, on aria1-aws with its limit replaced."""
+
+    @staticmethod
+    def _submit(q, limit):
+        profile = dataclasses.replace(target_profile("aria1-aws"), gate_limit=limit)
+        return SimProvider(profile).submit(build_benchmark(q, 0), shots=10, clock=0, seed=1)
+
     def test_no_limit_accepts_anything(self):
-        assert check_gate_limit(10**9, None)
+        assert lowered_census(build_benchmark(25, 0), REDUNDANT).total > default_gate_limit()
+        handle = self._submit(25, None)
+        assert handle.status is JobStatus.SUBMITTED and handle.error_message is None
 
     def test_boundary_inclusive(self):
-        assert check_gate_limit(500, 500)
-        assert not check_gate_limit(501, 500)
+        total = lowered_census(build_benchmark(8, 0), REDUNDANT).total
+        accepted = self._submit(8, total)
+        assert accepted.status is JobStatus.SUBMITTED and accepted.census.total == total
+        refused = self._submit(8, total - 1)
+        assert refused.status is JobStatus.ERROR
+        assert refused.error_message == f"lowered gate count {total} exceeds limit {total - 1}"
 
     def test_default_limit_value(self):
         assert default_gate_limit() == 3231
@@ -201,8 +207,7 @@ class TestGateLimit:
         limit = default_gate_limit()
         hi16 = transpile(build_benchmark(16, (1 << 16) - 1), REDUNDANT).census.total
         lo18 = transpile(build_benchmark(18, 0), REDUNDANT).census.total
-        assert check_gate_limit(hi16, limit)
-        assert not check_gate_limit(lo18, limit)
+        assert hi16 <= limit < lo18
 
     def test_inverted_widths_rejected(self):
         with pytest.raises(ValueError):

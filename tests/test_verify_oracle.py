@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from qbench.circuit import Circuit, Gate, GateKind, build_benchmark, random_input
-from qbench.simulator import run_statevector
-from qbench.transpiler import EFFICIENT, REDUNDANT, transpile, verify_equivalence
+from qbench.simulator import run_statevector, verify_equivalence
+from qbench.transpiler import EFFICIENT, REDUNDANT, transpile
 from test_kernel_oracle import random_circuit
 
 FLOOR = 1 - 1e-9  # the verdict every caller draws: equivalent at or above it
