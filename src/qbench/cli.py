@@ -7,10 +7,11 @@ Subcommands
     store export --out FILE        dump the log (optionally filtered) as CSV
 
 Exit codes: 0 success; 2 configuration or usage problem, including a seed
-outside [0, 2**64) and an ``--out`` that cannot be written or that is the
-store itself; 3 store problem; 4 report or export with no matching rows.
-The store path resolves as --store flag, then the config file's ``store``
-key (campaign only), then $QBENCH_STORE, then ./qbench_jobs.jsonl.
+outside [0, 2**64), a filter or column the store refuses and an ``--out``
+that cannot be written or that is the store itself; 3 store problem; 4 report
+or export with no matching rows.  The store path resolves as the first set
+(non-empty) of --store, the config file's ``store`` key (campaign only),
+$QBENCH_STORE and ./qbench_jobs.jsonl.
 Only ``campaign run`` creates a missing store; the read-only commands exit 3.
 """
 
@@ -21,7 +22,6 @@ import configparser
 import dataclasses
 import itertools
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -292,18 +292,11 @@ def _parse_bool(text: str) -> bool:
     return text.lower() == "true"
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
 # filter text to a value of the declared field type; money is written in USD
 _PARSE_BY_TYPE = {
     str: str,
     int: int,
-    float: _parse_float,
+    float: float,
     bool: _parse_bool,
     JobStatus: JobStatus,
     Money: Money.from_usd,
@@ -313,7 +306,7 @@ _PARSE_BY_TYPE = {
 def _coerce_filter_value(key: str, text: str):
     """Parse a filter value by the type of the field ``key`` names.
 
-    A name that is not a field passes through, so the store reports it.
+    A name that is not a field, or a value it cannot hold (a NaN), is left for the store to refuse.
     """
     name = key.partition("__")[0]
     if name not in RECORD_FIELDS:
@@ -338,7 +331,7 @@ def _parse_filters(pairs: Sequence[str]) -> dict:
 
 
 def _resolve_store(flag: str | None, config_value: str | None = None) -> str:
-    return flag or config_value or os.environ.get("QBENCH_STORE", "qbench_jobs.jsonl")
+    return flag or config_value or os.environ.get("QBENCH_STORE") or "qbench_jobs.jsonl"
 
 
 def _open_store(flag: str | None) -> JobStore:
@@ -374,6 +367,8 @@ def _write_out(args, summary: dict, write) -> int:
             rows = write(store, tmp)
             if rows:
                 os.replace(tmp, real)
+        except StoreError as exc:  # the store is open, so a filter or a column was refused
+            raise ConfigError(str(exc)) from exc
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)

@@ -27,9 +27,10 @@ and holds the decoded record, so it refuses what the open refuses (the open
 adds ``path:line``) and holds each field as its declared type.  Timestamps
 are integer seconds from the campaign epoch.  Query supports equality on any
 field and range operators via ``field__ge / __gt / __le / __lt`` suffixes,
-except on ``census`` and ``counts``.  A filter value must be the field's type
-(``Money``, ``JobStatus``) or its stored form (micro-USD, status text naming a
-status), checked as a read checks it; None matches an optional field by
+except on ``census`` and ``counts``.  A filter is read by ``_READERS``, the
+open's own checks of its field: it must be the field's type (``Money``,
+``JobStatus``) or its stored form (micro-USD, status text naming a status),
+with a dict's contents checked, and finite; None matches an optional field by
 equality only.  Any other filter raises ``StoreError``.  Results are ordered by
 (submitted_at, job_id) so equal filters always produce identical bytes on
 export.  CSV rows (export and reports) go through ``csv_line``, which writes
@@ -154,7 +155,7 @@ _STORED_AS = {
 }
 
 
-# a field value as the store writes it, query filters compare it and CSV cells show it
+# a field value as the store writes it, query filters are read from it and CSV cells show it
 def _flat(value: Any) -> Any:
     codec = _STORED_AS.get(type(value))
     return value if codec is None else codec[1](value)
@@ -182,6 +183,42 @@ def _encoder_source() -> str:
     return "\n".join([*lines, "    }"])
 
 
+def _field_checks(name: str) -> list[str]:
+    """The lines that check and decode field ``name``'s stored value, held in a local ``name``."""
+    typ, optional = RECORD_FIELDS[name]
+    json_type, _, decode = _STORED_AS.get(typ, (typ, None, None))
+    # an int passes for a float, a bool never for an int
+    allowed = [float, int] if json_type is float else [get_origin(json_type) or json_type]
+    mistyped = " and ".join(f"type({name}) is not {t.__name__}" for t in allowed)
+    if optional:
+        mistyped += f" and {name} is not None"
+    lines = [
+        f"    if {mistyped}:",
+        f"        raise StoreError(f'{name} holds {{{name}!r:.40}}, "
+        f"not a stored {typ.__name__}')",
+    ]
+    checks = []
+    if get_origin(json_type) is dict:  # JSON object keys are text, so check them too
+        key_type, value_type = get_args(json_type)
+        parts = (("values", f"{name}.values()", value_type), ("keys", name, key_type))
+        for part, of, held in parts:
+            checks += [
+                f"if not set(map(type, {of})) <= {{{held.__name__}}}:",
+                f"    raise StoreError('{name}: {part} are not all {held.__name__}')",
+            ]
+    if decode is not None:
+        checks += [
+            "try:",
+            f"    {name} = _from_{typ.__name__}({name})",
+            "except ValueError as exc:",
+            f"    raise StoreError(f'{name}: {{exc}}') from exc",
+        ]
+    if optional and checks:
+        lines.append(f"    if {name} is not None:")
+        checks = ["    " + line for line in checks]
+    return lines + ["    " + line for line in checks]
+
+
 def _decoder_source() -> str:
     """``from_dict``: every check of the stored format, unrolled in field order."""
     lines = [
@@ -196,39 +233,8 @@ def _decoder_source() -> str:
         "    if obj.keys() != _FIELDS:",
         "        raise StoreError(f'missing or unknown keys {sorted(obj.keys() ^ _FIELDS)}')",
     ]
-    for name, (typ, optional) in RECORD_FIELDS.items():
-        json_type, _, decode = _STORED_AS.get(typ, (typ, None, None))
-        # an int passes for a float, a bool never for an int
-        allowed = [float, int] if json_type is float else [get_origin(json_type) or json_type]
-        mistyped = " and ".join(f"type({name}) is not {t.__name__}" for t in allowed)
-        if optional:
-            mistyped += f" and {name} is not None"
-        lines += [
-            f"    {name} = obj[{name!r}]",
-            f"    if {mistyped}:",
-            f"        raise StoreError(f'{name} holds {{{name}!r:.40}}, "
-            f"not a stored {typ.__name__}')",
-        ]
-        checks = []
-        if get_origin(json_type) is dict:  # JSON object keys are text, so check them too
-            key_type, value_type = get_args(json_type)
-            parts = (("values", f"{name}.values()", value_type), ("keys", name, key_type))
-            for part, of, held in parts:
-                checks += [
-                    f"if not set(map(type, {of})) <= {{{held.__name__}}}:",
-                    f"    raise StoreError('{name}: {part} are not all {held.__name__}')",
-                ]
-        if decode is not None:
-            checks += [
-                "try:",
-                f"    {name} = _from_{typ.__name__}({name})",
-                "except ValueError as exc:",
-                f"    raise StoreError(f'{name}: {{exc}}') from exc",
-            ]
-        if optional and checks:
-            lines.append(f"    if {name} is not None:")
-            checks = ["    " + line for line in checks]
-        lines += ["    " + line for line in checks]
+    for name in RECORD_FIELDS:
+        lines += [f"    {name} = obj[{name!r}]", *_field_checks(name)]
     lines += [
         f"    record = cls({', '.join(RECORD_FIELDS)})",
         "    record.validate()",
@@ -237,22 +243,29 @@ def _decoder_source() -> str:
     return "\n".join(lines)
 
 
-def _compile(source: str, name: str) -> Any:
-    """The function ``name`` that ``source`` defines, with the store's names in scope."""
+def _reader_source(name: str) -> str:
+    """``read_<name>``: ``from_dict``'s checks of the field ``name``, run on one stored value."""
+    return "\n".join([f"def read_{name}({name}):", *_field_checks(name), f"    return {name}"])
+
+
+def _compile(source: str, qualname: str) -> Any:
+    """The function ``source`` defines, named ``qualname``, with the store's names in scope."""
     scope: dict[str, Any] = {"StoreError": StoreError, "_flat": _flat}
     scope["_FIELDS"] = RECORD_FIELDS.keys()
     for typ, (_, to_json, from_json) in _STORED_AS.items():
         held = typ.__name__
         scope |= {held: typ, f"_to_{held}": to_json, f"_from_{held}": from_json}
     exec(source, scope)
-    fn = scope[name]
-    fn.__qualname__ = f"JobRecord.{name}"
+    fn = scope[qualname.rpartition(".")[2]]
+    fn.__qualname__ = qualname
     return fn
 
 
 # built once, at import, from the annotations, the way dataclasses builds __init__
-JobRecord.to_dict = _compile(_encoder_source(), "to_dict")
-JobRecord.from_dict = classmethod(_compile(_decoder_source(), "from_dict"))
+JobRecord.to_dict = _compile(_encoder_source(), "JobRecord.to_dict")
+JobRecord.from_dict = classmethod(_compile(_decoder_source(), "JobRecord.from_dict"))
+# field name -> a filter value checked and decoded as ``from_dict`` reads that field
+_READERS = {name: _compile(_reader_source(name), f"read_{name}") for name in RECORD_FIELDS}
 
 
 # the one JSON encoding of the store: record lines, and counts and census cells in CSV
@@ -288,43 +301,33 @@ _RANGE_OPS = {
 }
 
 
-def _filter_types(typ: Any) -> frozenset[type]:
-    """The types a filter on a field of type ``typ`` may hold: ``typ`` and its
-    stored form's; an int passes for a float, and a bool never for an int."""
-    stored = _STORED_AS.get(typ, (typ,))[0]
-    types = {get_origin(typ) or typ, get_origin(stored) or stored}
-    return frozenset(types | {int} if typ is float else types)
-
-
-_FILTER_TYPES = {name: _filter_types(typ) for name, (typ, _) in RECORD_FIELDS.items()}
-
-
 def _predicate(key: str, want: Any):
-    """One filter's test, with the filter checked here, once, not per record."""
+    """One filter's test; the filter is read once, here, as a line's field is read, and
+    each record's field is compared with it in its declared type."""
     name, _, op = key.partition("__")
-    if name not in RECORD_FIELDS:
+    read = _READERS.get(name)
+    if read is None:
         raise StoreError(f"unknown query field {name!r}")
     if op and op not in _RANGE_OPS:
         raise StoreError(f"unknown query operator {op!r}")
-    (typ, optional), types = RECORD_FIELDS[name], _FILTER_TYPES[name]
-    if op and dict in types:  # census and counts are stored as JSON objects, which do not order
+    typ = RECORD_FIELDS[name][0]
+    if op and get_origin(_STORED_AS.get(typ, (typ,))[0]) is dict:  # JSON objects do not order
         raise StoreError(f"query field {name!r} takes no range operator")
-    if want is None:
-        if not optional:
-            raise StoreError(f"query field {name!r} is never None")
-        if op:
-            raise StoreError(f"query field {name!r}: None takes no range operator")
-    elif type(want) not in types:
-        raise StoreError(f"query field {name!r} holds {typ.__name__}, not {want!r:.40}")
-    elif type(want) is str and typ is JobStatus and want not in _STATUSES:
-        raise StoreError(f"query field {name!r}: {want!r:.40} names no job status")
-    want = _flat(want)  # a Money or JobStatus filter compares like the stored field
+    try:
+        want = read(_flat(want))
+    except StoreError as exc:
+        raise StoreError(f"query field {name!r}: {exc}") from exc
+    if type(want) is float and not math.isfinite(want):
+        raise StoreError(f"query field {name!r}: {want!r} is not finite")
+    field = attrgetter(name)
     if not op:
-        return lambda r: _flat(getattr(r, name)) == want
+        return lambda r: field(r) == want
+    if want is None:
+        raise StoreError(f"query field {name!r}: None takes no range operator")
     cmp = _RANGE_OPS[op]
 
     def test(r: JobRecord) -> bool:
-        value = _flat(getattr(r, name))
+        value = field(r)
         return value is not None and cmp(value, want)
 
     return test

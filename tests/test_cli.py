@@ -393,6 +393,7 @@ def test_filter_values_follow_field_types(typed_store, tmp_path):
         "fidelity__ge=nan",
         "census=280",
         "counts=1",
+        "qubits__zz=3",
     ],
 )
 def test_filter_value_of_the_wrong_type_is_exit_2(typed_store, tmp_path, bad):
@@ -411,10 +412,19 @@ def test_filter_cost_that_is_not_finite_is_exit_2(typed_store, tmp_path, bad):
     assert not out.exists()
 
 
-def test_filter_on_unknown_field_is_a_store_error(typed_store, tmp_path):
+def test_filter_on_unknown_field_is_exit_2(typed_store, tmp_path):
     code, _, err = _export_ids(typed_store, tmp_path, "qbits=6")
-    assert code == 3
-    assert "unknown query field" in err
+    assert code == 2
+    assert "config error: unknown query field 'qbits'" in err
+
+
+def test_export_of_an_unknown_column_is_exit_2_and_writes_nothing(typed_store, tmp_path):
+    out = tmp_path / "cols.csv"
+    args = ["--store", str(typed_store), "store", "export", "--columns", "job_id,bogus"]
+    code, _, err = run_cli(*args, "--out", str(out))
+    assert code == 2
+    assert "config error: unknown export column 'bogus'" in err
+    assert [p.name for p in tmp_path.iterdir()] == [typed_store.name]
 
 
 def test_store_export_subcommand(tmp_path):
@@ -498,6 +508,24 @@ def test_json_campaign_with_default_store(tmp_path, monkeypatch):
     summary = json.loads(out)
     assert summary["store"] == "qbench_jobs.jsonl"
     assert len(JobStore(tmp_path / "qbench_jobs.jsonl")) == summary["jobs"] == 4
+
+
+def test_empty_env_store_counts_as_unset(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QBENCH_STORE", "")
+    code, out, _ = run_cli("--json", "campaign", "run", "--config", cfg)
+    assert code == 0
+    assert json.loads(out)["store"] == "qbench_jobs.jsonl"
+    assert len(JobStore(tmp_path / "qbench_jobs.jsonl")) == 4
+
+
+def test_empty_env_store_poll_names_the_default_store(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QBENCH_STORE", "")
+    code, _, err = run_cli("jobs", "poll")
+    assert code == 3
+    assert "store error: no store file at qbench_jobs.jsonl\n" in err
 
 
 READ_ONLY_COMMANDS = {

@@ -18,7 +18,7 @@ from types import NoneType
 from typing import Any, get_args, get_origin
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qbench.circuit import GateCensus
@@ -26,7 +26,7 @@ from qbench.costing import Money
 from qbench.providers import JobStatus
 from qbench.store import RECORD_FIELDS, SUCCESS_THRESHOLD, JobRecord, JobStore, StoreError
 from test_report_oracle import every_status_records
-from test_store import _random_fixture, make_record, processed_record
+from test_store import _random_fixture, make_record, processed_record, write_store
 
 
 def oracle_to_dict(r):
@@ -127,23 +127,26 @@ def walk_to_dict(record) -> dict[str, Any]:
     return {name: _flat(getattr(record, name)) for name in RECORD_FIELDS}
 
 
+def walk_field(name, value):
+    """The walk's check of one field's stored value: the value decoded, or StoreError."""
+    types, decode = _CODECS[name]
+    if type(value) not in types:
+        typ = RECORD_FIELDS[name][0]
+        raise StoreError(f"{name} holds {value!r:.40}, not a stored {typ.__name__}")
+    if decode is None or value is None:
+        return value
+    try:
+        return decode(value)
+    except ValueError as exc:
+        raise StoreError(f"{name}: {exc}") from exc
+
+
 def walk_from_dict(obj) -> JobRecord:
     if type(obj) is not dict:
         raise StoreError("a record line must hold a JSON object")
     if obj.keys() != RECORD_FIELDS.keys():
         raise StoreError(f"missing or unknown keys {sorted(obj.keys() ^ RECORD_FIELDS.keys())}")
-    values = dict(obj)
-    for name, (types, decode) in _CODECS.items():
-        value = obj[name]
-        if type(value) not in types:
-            typ = RECORD_FIELDS[name][0]
-            raise StoreError(f"{name} holds {value!r:.40}, not a stored {typ.__name__}")
-        if decode is not None and value is not None:
-            try:
-                values[name] = decode(value)
-            except ValueError as exc:
-                raise StoreError(f"{name}: {exc}") from exc
-    record = JobRecord(**values)
+    record = JobRecord(**{name: walk_field(name, obj[name]) for name in _CODECS})
     record.validate()
     return record
 
@@ -356,3 +359,24 @@ def test_generated_encoder_flattens_any_value_as_the_walk_does(record, name, val
 def test_generated_decoder_refuses_as_the_walk_does(record, kind, data):
     obj = CORRUPTIONS[kind](record.to_dict(), data.draw)
     assert _outcome(JobRecord.from_dict, obj) == _outcome(walk_from_dict, obj)
+
+
+@pytest.fixture(scope="module")
+def two_record_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("query") / "log.jsonl"
+    return write_store(path, [make_record(0), processed_record(1)])
+
+
+@CODEC_SETTINGS
+@given(FIELDS, ANY_VALUE)
+def test_query_reads_a_filter_as_the_walk_reads_its_field(two_record_store, name, value):
+    """Filters and record lines share one rule: a query refuses a finite, non-None
+    filter exactly when the walk refuses its stored form as that field, in the same words."""
+    flat = _flat(value)
+    assume(flat is not None and not (type(flat) is float and not math.isfinite(flat)))
+    walked = _outcome(partial(walk_field, name), flat)
+    queried = _outcome(lambda want: two_record_store.query(**{name: want}), value)
+    if walked[0] == "refused":
+        assert queried == ("refused", f"query field {name!r}: {walked[1]}")
+    else:
+        assert queried[0] == "made"

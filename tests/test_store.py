@@ -425,6 +425,12 @@ def test_query_takes_each_field_type_or_its_stored_form(tmp_path):
         {"fidelity__ge": None},
         {"fidelity": "0.9"},
         {"success": 1},
+        {"fidelity__lt": math.nan},
+        {"fidelity__ge": math.inf},
+        {"census": {"n_1q": 1, "n_2q": 2, "total": 9}},
+        {"census": {"n_1q": "a", "n_2q": 2, "total": 2}},
+        {"counts": {"a": "x"}},
+        {"counts": {1: 5}},
     ],
     ids=repr,
 )
