@@ -2,43 +2,46 @@
 
 One record per line, canonical key order, lower_snake_case field names.  The
 format is deliberately dumb: a torn final write (process killed mid-append)
-loses at most that one line.  Opening the store streams the file one line at
-a time, so it never holds the file or a list of its lines.  A final line
-without its newline is skipped, and the first ``append`` cuts it away before
-it writes; the open itself never writes, so a read-only store opens even with
-a torn tail, and a read cannot cut a line another process is writing.  The
+loses at most that one line.  Opening the store streams the file one line at a
+time, so it never holds the file or a list of its lines.  A final line without
+its newline is skipped, and the first ``append`` cuts it away before it
+writes; the open itself never writes, so a read-only store opens even with a
+torn tail, and a read cannot cut a line another process is writing.  The
 records are kept in one map from job_id to record, in append order, rebuilt on
-every open.  A campaign writes through ``_IdStore``, which keeps the ids and
-drops the records.  A store that appends holds its file open, in append mode,
-from its first ``append`` until ``close()`` or the end of its ``with`` block,
-and flushes each line as it writes it; a store that only reads never opens
-its file to write.
+every open.  A campaign writes through ``_IdStore``, which checks each line
+and holds no record, only its id.  A store that appends holds its file open,
+in append mode, from its first ``append`` until ``close()`` or the end of its
+``with`` block, and flushes each line as it writes it; a store that only reads
+never opens its file to write.
 
 ``JobRecord``'s annotations are the format: each field is stored under its
 name as its declared type, except the three types ``_STORED_AS`` maps to JSON
 (a ``JobStatus`` as its text, ``Money`` as integer micro-USD under ``cost``, a
 ``GateCensus`` as ``{n_1q, n_2q, total}``).  The codec is generated once, at
 import, from the annotations and ``_STORED_AS``: ``to_dict`` is one dict
-display and ``from_dict`` one unrolled run of checks, each built with
-``exec`` the way ``dataclasses`` builds ``__init__``.  Reads check every
-value against its declared type (the keys of an object field too), then
-``validate`` it.  ``append`` decodes each record's stored form the same way
-and holds the decoded record, so it refuses what the open refuses (the open
-adds ``path:line``) and holds each field as its declared type.  Timestamps
-are integer seconds from the campaign epoch.  Query supports equality on any
-field and range operators via ``field__ge / __gt / __le / __lt`` suffixes,
-except on ``census`` and ``counts``.  A filter is read by ``_READERS``, the
-open's own checks of its field: it must be the field's type (``Money``,
-``JobStatus``) or its stored form (micro-USD, status text naming a status),
-with a dict's contents checked, and finite; None matches an optional field by
-equality only.  Any other filter raises ``StoreError``.  Results are ordered by
-(submitted_at, job_id) so equal filters always produce identical bytes on
-export.  CSV rows (export and reports) go through ``csv_line``, which writes
-the bytes of ``csv.writer``'s default dialect.
+display and ``from_dict`` one unrolled run of checks, each built with ``exec``
+the way ``dataclasses`` builds ``__init__``.  Reads check every value against
+its declared type (the keys of an object field too), then the rules across
+fields (``_validate``, which ``validate`` runs too).  ``_check`` is that run
+without the record: it returns the job_id.  ``append`` reads each record's
+stored form the same way, so it refuses what the open refuses (the open adds
+``path:line``), and ``JobStore`` holds each field as its declared type.
+Timestamps are integer seconds from the campaign epoch.  Query supports
+equality on any field and range operators via
+``field__ge / __gt / __le / __lt`` suffixes, except on ``census`` and
+``counts``.  A filter is read by ``_READERS``, the open's own checks of its
+field: it must be the field's type (``Money``, ``JobStatus``) or its stored
+form (micro-USD, status text naming a status), with a dict's contents checked,
+and finite; None matches an optional field by equality only.  Any other filter
+raises ``StoreError``.  Results are ordered by (submitted_at, job_id) so equal
+filters always produce identical bytes on export.  CSV rows (export and
+reports) go through ``csv_line``, which writes the bytes of ``csv.writer``'s
+default dialect.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -87,37 +90,45 @@ class JobRecord:
     error_message: str | None = None
 
     def validate(self) -> None:
-        if self.qubits < 1 or self.shots < 1:
-            raise StoreError(f"{self.job_id}: qubits and shots must be positive")
-        if self.cost.micros < 0:
-            raise StoreError(f"{self.job_id}: negative cost")
+        _validate(*attrgetter(*_VALIDATED)(self))
+
+
+def _validate(job_id, qubits, shots, status, cost, executed_at, predicted_wait, actual_wait,
+              census, counts, fidelity, success) -> None:
+    """The record rules across fields, on field values of their declared types."""
+    if qubits < 1 or shots < 1:
+        raise StoreError(f"{job_id}: qubits and shots must be positive")
+    if cost.micros < 0:
+        raise StoreError(f"{job_id}: negative cost")
+    for name, wait in (("predicted_wait", predicted_wait), ("actual_wait", actual_wait)):
         # NaN and infinities are not JSON (RFC 8259), though json writes and reads them
-        if not (self.predicted_wait is None or math.isfinite(self.predicted_wait)):
-            raise StoreError(f"{self.job_id}: predicted_wait is not finite")
-        if not (self.actual_wait is None or math.isfinite(self.actual_wait)):
-            raise StoreError(f"{self.job_id}: actual_wait is not finite")
-        processed = self.status is JobStatus.PROCESSED
-        # each result on its own: a job that never ran holds none of them
-        for result in (self.counts, self.fidelity, self.success):
-            if processed != (result is not None):
-                raise StoreError(
-                    f"{self.job_id}: counts/fidelity/success present iff status is processed"
-                )
-        if processed:
-            if sum(self.counts.values()) != self.shots:
-                raise StoreError(f"{self.job_id}: counts do not sum to shots")
-            if min(self.counts.values()) < 1:  # not empty: the counts sum to shots >= 1
-                raise StoreError(f"{self.job_id}: counts hold a count below 1")
-            if not 0.0 <= self.fidelity <= 1.0:
-                raise StoreError(f"{self.job_id}: fidelity outside [0, 1]")
-            if self.success != (self.fidelity >= SUCCESS_THRESHOLD):
-                raise StoreError(f"{self.job_id}: success flag contradicts fidelity")
-            if self.executed_at is None:
-                raise StoreError(f"{self.job_id}: processed record missing executed_at")
-            if self.census is None:
-                raise StoreError(f"{self.job_id}: processed record missing census")
-        if self.status is JobStatus.UNAVAILABLE and self.cost.micros != 0:
-            raise StoreError(f"{self.job_id}: unavailable submissions cost nothing")
+        if not (wait is None or math.isfinite(wait)):
+            raise StoreError(f"{job_id}: {name} is not finite")
+        if wait is not None and wait < 0:  # an exp(...) draw, or its biased median
+            raise StoreError(f"{job_id}: {name} is negative")
+    processed = status is JobStatus.PROCESSED
+    # each result on its own: a job that never ran holds none of them
+    for result in (counts, fidelity, success):
+        if processed != (result is not None):
+            raise StoreError(f"{job_id}: counts/fidelity/success present iff status is processed")
+    if processed:
+        if sum(counts.values()) != shots:
+            raise StoreError(f"{job_id}: counts do not sum to shots")
+        if min(counts.values()) < 1:  # not empty: the counts sum to shots >= 1
+            raise StoreError(f"{job_id}: counts hold a count below 1")
+        if not 0.0 <= fidelity <= 1.0:
+            raise StoreError(f"{job_id}: fidelity outside [0, 1]")
+        if success != (fidelity >= SUCCESS_THRESHOLD):
+            raise StoreError(f"{job_id}: success flag contradicts fidelity")
+        if executed_at is None:
+            raise StoreError(f"{job_id}: processed record missing executed_at")
+        if census is None:
+            raise StoreError(f"{job_id}: processed record missing census")
+    if status is JobStatus.UNAVAILABLE and cost.micros != 0:
+        raise StoreError(f"{job_id}: unavailable submissions cost nothing")
+
+
+_VALIDATED = tuple(inspect.signature(_validate).parameters)  # the fields it reads, in order
 
 
 def _declared(hint: Any) -> tuple[Any, bool]:
@@ -219,11 +230,11 @@ def _field_checks(name: str) -> list[str]:
     return lines + ["    " + line for line in checks]
 
 
-def _decoder_source() -> str:
-    """``from_dict``: every check of the stored format, unrolled in field order."""
+def _decoder_source(decode: bool) -> str:
+    """``from_dict``, or ``_check`` (it returns the job_id): every check of the format, unrolled."""
     lines = [
-        "def from_dict(cls, obj):",
-        '    """Decode a stored object; raises StoreError for anything ``append`` refuses.',
+        "def from_dict(cls, obj):" if decode else "def _check(obj):",
+        '    """Read a stored object; raises StoreError for anything ``append`` refuses.',
         "",
         "    The one check of the format: the open runs it on every line read, and",
         "    ``append`` on every record's stored form before writing it.",
@@ -236,9 +247,8 @@ def _decoder_source() -> str:
     for name in RECORD_FIELDS:
         lines += [f"    {name} = obj[{name!r}]", *_field_checks(name)]
     lines += [
-        f"    record = cls({', '.join(RECORD_FIELDS)})",
-        "    record.validate()",
-        "    return record",
+        f"    _validate({', '.join(_VALIDATED)})",
+        f"    return cls({', '.join(RECORD_FIELDS)})" if decode else "    return job_id",
     ]
     return "\n".join(lines)
 
@@ -250,7 +260,7 @@ def _reader_source(name: str) -> str:
 
 def _compile(source: str, qualname: str) -> Any:
     """The function ``source`` defines, named ``qualname``, with the store's names in scope."""
-    scope: dict[str, Any] = {"StoreError": StoreError, "_flat": _flat}
+    scope: dict[str, Any] = {"StoreError": StoreError, "_flat": _flat, "_validate": _validate}
     scope["_FIELDS"] = RECORD_FIELDS.keys()
     for typ, (_, to_json, from_json) in _STORED_AS.items():
         held = typ.__name__
@@ -263,7 +273,8 @@ def _compile(source: str, qualname: str) -> Any:
 
 # built once, at import, from the annotations, the way dataclasses builds __init__
 JobRecord.to_dict = _compile(_encoder_source(), "JobRecord.to_dict")
-JobRecord.from_dict = classmethod(_compile(_decoder_source(), "JobRecord.from_dict"))
+JobRecord.from_dict = classmethod(_compile(_decoder_source(True), "JobRecord.from_dict"))
+_check = _compile(_decoder_source(False), "_check")
 # field name -> a filter value checked and decoded as ``from_dict`` reads that field
 _READERS = {name: _compile(_reader_source(name), f"read_{name}") for name in RECORD_FIELDS}
 
@@ -365,16 +376,21 @@ class JobStore:
 
     def _load(self, line: bytes, lineno: int) -> None:
         try:
-            record = JobRecord.from_dict(json.loads(line))
+            job_id, held = self._read(json.loads(line))
         except json.JSONDecodeError as exc:
             raise StoreError(f"{self.path}:{lineno}: corrupt record line") from exc
         except UnicodeDecodeError as exc:
             raise StoreError(f"{self.path}:{lineno}: record line is not UTF-8") from exc
         except StoreError as exc:
             raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
-        if record.job_id in self._records:
-            raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
-        self._keep(record)
+        if job_id in self._records:
+            raise StoreError(f"{self.path}:{lineno}: duplicate job_id {job_id}")
+        self._keep(held)
+
+    def _read(self, obj: Any) -> tuple[str, Any]:
+        """A stored object's job_id and what ``_keep`` holds of it (the record); may refuse."""
+        record = JobRecord.from_dict(obj)
+        return record.job_id, record
 
     def _keep(self, record: JobRecord) -> None:
         """Hold a record just read or appended; its job_id was checked to be new."""
@@ -394,10 +410,10 @@ class JobStore:
 
     def append(self, record: JobRecord) -> None:
         stored = record.to_dict()
-        record = JobRecord.from_dict(stored)  # refused, or decoded, as the open would
+        job_id, held = self._read(stored)  # refused, or read, as the open would
         with self._lock:
-            if record.job_id in self._records:
-                raise StoreError(f"duplicate job_id {record.job_id}")
+            if job_id in self._records:
+                raise StoreError(f"duplicate job_id {job_id}")
             line = _json_text(stored)
             if self._appender is None:
                 if self._torn_at is not None:
@@ -406,7 +422,7 @@ class JobStore:
                 self._appender = open(self.path, "a", encoding="utf-8", newline="\n")
             self._appender.write(line + "\n")
             self._appender.flush()  # a kill loses at most the line being written
-            self._keep(record)
+            self._keep(held)
 
     def close(self) -> None:
         """Close the file ``append`` holds open, if any; a later append opens it again."""
@@ -454,12 +470,17 @@ class JobStore:
 class _IdStore(JobStore):
     """A ``JobStore`` that keeps the job ids of its records, not the records.
 
-    It opens, checks and appends exactly as ``JobStore`` does, so a writer
-    gets the same bytes and the same ``path:line`` errors, and ``len`` and
-    ``in`` answer as usual; but its memory grows by one id per record, not
-    by the record.  It holds no records: ``get`` raises ``StoreError``, and
-    it lists, queries and exports none.
+    It checks each line it opens, and each record's stored form it appends,
+    with ``_check``: ``from_dict``'s checks, without building the record.  So
+    a writer gets ``JobStore``'s bytes and ``path:line`` errors, ``len`` and
+    ``in`` answer as usual, and its memory grows by one id per record.  It
+    holds no records: ``get`` raises ``StoreError``; it lists, queries and
+    exports none.
     """
 
-    def _keep(self, record: JobRecord) -> None:
-        self._records[record.job_id] = None  # the id is taken; no record is held
+    def _read(self, obj: Any) -> tuple[str, str]:
+        job_id = _check(obj)
+        return job_id, job_id
+
+    def _keep(self, job_id: str) -> None:
+        self._records[job_id] = None  # the id is taken; no record is held

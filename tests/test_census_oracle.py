@@ -17,6 +17,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbench.circuit import (
     ONE_QUBIT_KINDS,
@@ -97,6 +99,13 @@ def test_recognised_benchmark_census_matches_the_gate_count(q, profile):
         assert benchmark_input(circuit) == n
         assert lowered_census(circuit, profile) == oracle_lowered_census(circuit, profile)
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 60))
+def test_a_built_benchmark_carries_the_input_a_scan_finds(data, q):
+    n = data.draw(st.sampled_from([0, (1 << q) - 1]) | st.integers(0, (1 << q) - 1))
+    built = build_benchmark(q, n)
+    assert benchmark_input(built) == n == benchmark_input(Circuit(q, built.gates))
 
 def look_alikes(q):
     """Circuits of ``build_benchmark(q, n)``'s width whose gates are not its gates."""

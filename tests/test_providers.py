@@ -350,17 +350,19 @@ def test_a_processed_job_recognises_its_benchmark_once(monkeypatch, tmp_path):
     cfg = load_config(str(config))  # resolving presets recognises the gate-limit benchmarks
     prov = _provider("h2-azure")
     scans = _count_gate_scans(monkeypatch)
-    circuit = build_benchmark(8, 77)
-    h = prov.submit(circuit, 500, 0, seed=5)
-    assert len(scans) == 1  # at submission, for the lowered census
-    assert prov.poll(h, h.exec_end).status is JobStatus.PROCESSED
-    prov.job_cost(h)
-    assert benchmark_input(circuit) == 77
-    assert len(scans) == 1  # execution and billing read what the circuit kept
-    scans.clear()
+    built = build_benchmark(8, 77)
+    read_back = circuit_from_json(circuit_to_json(built))  # the same gates, not built
+    for circuit, scanned in ((built, []), (read_back, [read_back])):
+        h = prov.submit(circuit, 500, 0, seed=5)
+        assert scans == scanned  # a built circuit carries its input; any other, at submission
+        assert prov.poll(h, h.exec_end).status is JobStatus.PROCESSED
+        prov.job_cost(h)
+        assert benchmark_input(circuit) == 77
+        assert scans == scanned  # execution and billing read what the circuit kept
+        assert all(c is read_back for c in scans)
     summary = run_campaign(cfg, str(tmp_path / "s.jsonl"))
     assert summary["by_status"] == {"processed": 6}
-    assert len(set(map(id, scans))) == len(scans) == 6  # one per job's circuit
+    assert len(scans) == 1  # every campaign job's circuit is built, so none is scanned
 
 
 def test_a_circuit_is_recognised_by_its_own_gates(monkeypatch):

@@ -6,15 +6,18 @@ codec: one line per field, each type's stored form spelled out.
 before the generated one: a walk over the annotations at every call, through
 ``_codec`` and ``_decode_object``.  The generated codec must write the same
 objects as both, read them back to equal records, and refuse what the walk
-refuses with the same text.
+refuses with the same text.  The campaign's ``_IdStore`` reads through
+``_check``, the same checks without the record: it must refuse what
+``JobStore`` refuses, in the same words, and build no record.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
 from functools import partial
 from operator import attrgetter
-from types import NoneType
+from types import NoneType, SimpleNamespace
 from typing import Any, get_args, get_origin
 
 import pytest
@@ -24,7 +27,14 @@ from hypothesis import strategies as st
 from qbench.circuit import GateCensus
 from qbench.costing import Money
 from qbench.providers import JobStatus
-from qbench.store import RECORD_FIELDS, SUCCESS_THRESHOLD, JobRecord, JobStore, StoreError
+from qbench.store import (
+    RECORD_FIELDS,
+    SUCCESS_THRESHOLD,
+    JobRecord,
+    JobStore,
+    StoreError,
+    _IdStore,
+)
 from test_report_oracle import every_status_records
 from test_store import _random_fixture, make_record, processed_record, write_store
 
@@ -359,6 +369,86 @@ def test_generated_encoder_flattens_any_value_as_the_walk_does(record, name, val
 def test_generated_decoder_refuses_as_the_walk_does(record, kind, data):
     obj = CORRUPTIONS[kind](record.to_dict(), data.draw)
     assert _outcome(JobRecord.from_dict, obj) == _outcome(walk_from_dict, obj)
+
+
+@contextlib.contextmanager
+def records_built():
+    """A list that grows by one for each ``JobRecord`` constructed inside the block."""
+    built, init = [], JobRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JobRecord, "__init__", counted)
+        yield built
+
+
+def _appended(store_type, path, obj):
+    """What ``append`` of a record whose stored form is ``obj`` made of a new store at
+    ``path``: the bytes it wrote, or its refusal.  ``append`` reads a record only
+    through ``to_dict``, so a stand-in hands it any object a line can hold."""
+    path.unlink(missing_ok=True)
+    with store_type(path) as store:
+        try:
+            store.append(SimpleNamespace(to_dict=lambda: obj))
+        except StoreError as exc:
+            return "refused", str(exc)
+    return "made", path.read_bytes()
+
+
+def _opened(store_type, path):
+    """The ids a store opened at ``path`` took, or its refusal (with ``path:line``)."""
+    try:
+        return "made", list(store_type(path)._records)
+    except StoreError as exc:
+        return "refused", str(exc)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity")
+
+
+@CODEC_SETTINGS
+@given(records(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
+def test_id_store_refuses_as_the_job_store_does(scratch_dir, record, kind, data):
+    """The id store's check-only read refuses what ``JobStore``'s decode refuses, in
+    the same words, on append and on the open of a one-line file; it builds no record."""
+    obj = CORRUPTIONS[kind](record.to_dict(), data.draw)
+    path = scratch_dir / "log.jsonl"
+    appended = _appended(JobStore, path, obj)
+    with records_built() as built:
+        assert _appended(_IdStore, path, obj) == appended
+    assert built == []
+
+    line = _encoded(obj)
+    assume(type(line) is str)  # a line JSON cannot write is refused by append alone
+    path.write_text(line + "\n")
+    opened = _opened(JobStore, path)
+    with records_built() as built:
+        assert _opened(_IdStore, path) == opened
+    assert built == []
+    if opened[0] == "refused":
+        assert opened[1].startswith(f"{path}:1: ")
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_id_store_reads_and_writes_without_building_a_record(fixture, tmp_path):
+    records = FIXTURES[fixture]()
+    kept = write_store(tmp_path / "kept.jsonl", records)
+    with records_built() as built:
+        with _IdStore(tmp_path / "ids.jsonl") as ids:
+            for r in records:
+                ids.append(r)
+        reopened = _IdStore(tmp_path / "kept.jsonl")
+    assert built == []
+    assert (tmp_path / "ids.jsonl").read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
+    assert list(ids._records) == list(reopened._records) == list(kept._records)
+    with records_built() as built:  # the count sees each record the open builds
+        JobStore(tmp_path / "kept.jsonl")
+    assert len(built) == len(records)
 
 
 @pytest.fixture(scope="module")

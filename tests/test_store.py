@@ -259,6 +259,32 @@ def test_non_finite_wait_is_refused_by_append_and_by_the_open(tmp_path, field, v
         JobStore(path)
 
 
+
+@pytest.mark.parametrize("field", ["predicted_wait", "actual_wait"])
+@pytest.mark.parametrize("value", [-3.0, -1e-300, -math.inf], ids=["-3", "-tiny", "-inf"])
+def test_negative_wait_is_refused_by_append_and_by_the_open(tmp_path, field, value):
+    """Both waits are exp(...) draws or their median, so neither is below 0."""
+    record = processed_record(0, **{field: value})
+    why = "not finite" if value == -math.inf else "negative"
+    with pytest.raises(StoreError, match=f"^job-0000: {field} is {why}$"):
+        record.validate()
+    path = tmp_path / "log.jsonl"
+    with JobStore(path) as store, pytest.raises(StoreError, match=f"^job-0000: {field} is {why}$"):
+        store.append(record)
+    assert path.read_bytes() == b""
+
+    line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert f'"{field}":{json.dumps(value)}' in line
+    path.write_text(line + "\n")
+    with pytest.raises(StoreError, match=f"^{path}:1: job-0000: {field} is {why}$"):
+        JobStore(path)
+
+
+def test_a_wait_of_zero_is_kept(tmp_path):
+    record = processed_record(0, predicted_wait=0.0, actual_wait=0)
+    assert list(write_store(tmp_path / "log.jsonl", [record]).records()) == [record]
+    assert list(JobStore(tmp_path / "log.jsonl").records()) == [record]
+
 def test_append_holds_the_record_a_reopen_reads(tmp_path):
     path = tmp_path / "log.jsonl"
     with JobStore(path) as store:
