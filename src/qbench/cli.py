@@ -26,7 +26,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analysis import REPORT_KINDS, benchmark_fidelity, classify_success, write_report
 from .circuit import build_benchmark, random_input
@@ -75,15 +75,20 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
         step = int(step_part) if step_part else 1
         if step <= 0 or hi < lo:
             raise ConfigError(f"bad qubits range {text!r}")
-        values = tuple(range(lo, hi + 1, step))
+        values = range(lo, hi + 1, step)
+        ends = (lo, values[-1])  # so a wide range is refused before it is built
     else:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
-    if not values or any(q < 2 or q > 60 for q in values):
+        values = ends = tuple(int(p) for p in text.split(",") if p.strip())
+    if not values or any(q < 2 or q > 60 for q in ends):
         raise ConfigError(f"qubit sizes out of range in {text!r}")
-    twice = sorted({q for q in values if values.count(q) > 1})
+    _refuse_repeats("qubits =", values)
+    return tuple(values)
+
+
+def _refuse_repeats(setting: str, items: Iterable) -> None:
+    twice = sorted(item for item, n in Counter(items).items() if n > 1)
     if twice:
-        raise ConfigError(f"qubits = lists {', '.join(map(str, twice))} more than once")
-    return values
+        raise ConfigError(f"{setting} lists {', '.join(map(str, twice))} more than once")
 
 
 _CAMPAIGN_KEYS = {f.name for f in dataclasses.fields(CampaignConfig)} - {"targets"}
@@ -94,9 +99,6 @@ _OVERRIDE_KEYS = {"f_2qg", "gate_limit", "qubits", "execution_seconds", *_QUEUE_
 
 
 def _apply_overrides(profile: TargetProfile, section) -> TargetProfile:
-    unknown = set(section) - _OVERRIDE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown override keys for {profile.name}: {sorted(unknown)}")
     changes: dict = {}
     if "f_2qg" in section:
         changes["noise"] = GlobalDepolarizing(section.getfloat("f_2qg"))
@@ -117,15 +119,16 @@ def _check_names(parser: configparser.ConfigParser, use: list[str]) -> None:
     """Refuse a key or section that no setting reads, so a typo is no silent default."""
     if parser.defaults():
         raise ConfigError(f"[DEFAULT] keys are not read: {sorted(parser.defaults())}")
-    for section, known in (("campaign", _CAMPAIGN_KEYS), ("targets", {"use"})):
-        unknown = set(parser[section]) - known
+    known = {"campaign": _CAMPAIGN_KEYS, "targets": {"use"}}
+    known |= {f"target:{name}": _OVERRIDE_KEYS for name in use}
+    for section, keys in known.items():
+        unknown = set(parser[section]) - keys if section in parser else set()
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    overrides = {f"target:{name}" for name in use}
     for section in parser.sections():
-        if section.startswith("target:") and section not in overrides:
+        if section.startswith("target:") and section not in known:
             raise ConfigError(f"[{section}] overrides a target not in [targets] use =")
-        if section not in ("campaign", "targets", *overrides):
+        if section not in known:
             raise ConfigError(f"unknown section [{section}]")
 
 
@@ -153,9 +156,7 @@ def load_config(path: str) -> CampaignConfig:
         budget_cap = Money.from_usd(cap_text) if cap_text else None
         if not use:
             raise ConfigError("[targets] use = must list at least one preset")
-        twice = sorted({name for name in use if use.count(name) > 1})
-        if twice:
-            raise ConfigError(f"[targets] use = lists {', '.join(twice)} more than once")
+        _refuse_repeats("[targets] use =", use)
         targets = []
         for name in use:
             if name not in PRESET_NAMES:
@@ -239,10 +240,11 @@ def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
     with _IdStore(store_path) as store:  # closed on every exit, exceptions included
         providers = {p.name: SimProvider(p) for p in cfg.targets}
         spent = {p.name: Money(0) for p in cfg.targets}
-        tally: Counter[tuple[str, str | None]] = Counter()  # (target, status); None: budget skip
+        statuses: dict[str, Counter[str]] = {p.name: Counter() for p in cfg.targets}
+        skipped = 0  # slots not submitted because their target's spend reached the cap
         for clock, profile, q, seed, job_id in _jobs(cfg):
             if cfg.budget_cap is not None and spent[profile.name] >= cfg.budget_cap:
-                tally[profile.name, None] += 1
+                skipped += 1
                 continue
             provider = providers[profile.name]
             n = random_input(q, seed)
@@ -252,25 +254,18 @@ def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
             cost = provider.job_cost(handle)
             store.append(record_from_poll(handle, result, cost, q, n))
             spent[profile.name] += cost
-            tally[profile.name, result.status.value] += 1
-    return _campaign_summary(store_path, tally, spent)
-
-
-def _campaign_summary(store_path: str, tally: Counter, spent: dict[str, Money]) -> dict:
-    by_target = {name: {"jobs": 0, "statuses": {}, "cost_usd": str(m)} for name, m in spent.items()}
-    by_status: Counter[str] = Counter()
-    for (target, status), count in tally.items():
-        if status is not None:
-            by_target[target]["jobs"] += count
-            by_target[target]["statuses"][status] = count
-            by_status[status] += count
+            statuses[profile.name][result.status.value] += 1
+    by_status = sum(statuses.values(), Counter())
     return {
         "command": "campaign run",
         "store": store_path,
         "jobs": by_status.total(),
         "by_status": dict(sorted(by_status.items())),
-        "by_target": by_target,
-        "skipped_budget": sum(n for (_, status), n in tally.items() if status is None),
+        "by_target": {
+            name: {"jobs": tally.total(), "statuses": dict(tally), "cost_usd": str(spent[name])}
+            for name, tally in statuses.items()
+        },
+        "skipped_budget": skipped,
         "total_cost_usd": str(sum(spent.values(), Money(0))),
     }
 

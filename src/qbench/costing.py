@@ -82,11 +82,6 @@ class Money:
     def cents_half_up(self) -> int:
         return _cents_half_up(self.micros, 1)
 
-    @property
-    def usd(self) -> float:
-        """Float view, for plotting/statistics only."""
-        return self.micros / _MICROS_PER_USD
-
     def __str__(self) -> str:
         cents = self.cents_half_up()
         sign = "-" if cents < 0 else ""

@@ -12,7 +12,9 @@ every open.  A campaign writes through ``_IdStore``, which checks each line
 and holds no record, only its id.  A store that appends holds its file open,
 in append mode, from its first ``append`` until ``close()`` or the end of its
 ``with`` block, and flushes each line as it writes it; a store that only reads
-never opens its file to write.
+never opens its file to write.  An append the operating system refuses raises
+``StoreError``, holds no record, and leaves what part of its line reached the
+file for the next ``append`` to cut.
 
 ``JobRecord``'s annotations are the format: each field is stored under its
 name as its declared type, except the three types ``_STORED_AS`` maps to JSON
@@ -41,13 +43,14 @@ default dialect.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import math
 import os
 import threading
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, ge, gt, le, lt
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Iterable, Iterator, TextIO, get_args, get_origin, get_type_hints
@@ -304,12 +307,7 @@ def csv_line(fields: Iterable[Any]) -> str:
     return ",".join(cells) + "\r\n"
 
 
-_RANGE_OPS = {
-    "ge": lambda a, b: a >= b,
-    "gt": lambda a, b: a > b,
-    "le": lambda a, b: a <= b,
-    "lt": lambda a, b: a < b,
-}
+_RANGE_OPS = {"ge": ge, "gt": gt, "le": le, "lt": lt}
 
 
 def _predicate(key: str, want: Any):
@@ -356,7 +354,7 @@ class JobStore:
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord | None] = {}  # job_id -> record, in append order
         self._appender: TextIO | None = None  # opened by the first append, kept until close()
-        self._torn_at: int | None = None  # where a torn final line starts; append cuts it
+        self._torn_at: int | None = None  # where a torn or failed line starts; append cuts it
         try:
             self._open()
         except OSError as exc:  # a directory, a parent that cannot be made, an unreadable file
@@ -385,16 +383,15 @@ class JobStore:
             raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
         if job_id in self._records:
             raise StoreError(f"{self.path}:{lineno}: duplicate job_id {job_id}")
-        self._keep(held)
+        self._records[job_id] = held
 
     def _read(self, obj: Any) -> tuple[str, Any]:
-        """A stored object's job_id and what ``_keep`` holds of it (the record); may refuse."""
+        """A stored object's job_id and what the store holds under it (the record); may refuse.
+
+        The one hook a subclass overrides: the open and ``append`` read each line through it.
+        """
         record = JobRecord.from_dict(obj)
         return record.job_id, record
-
-    def _keep(self, record: JobRecord) -> None:
-        """Hold a record just read or appended; its job_id was checked to be new."""
-        self._records[record.job_id] = record
 
     def __len__(self) -> int:
         return len(self._records)
@@ -415,14 +412,25 @@ class JobStore:
             if job_id in self._records:
                 raise StoreError(f"duplicate job_id {job_id}")
             line = _json_text(stored)
-            if self._appender is None:
-                if self._torn_at is not None:
-                    os.truncate(self.path, self._torn_at)
-                    self._torn_at = None
-                self._appender = open(self.path, "a", encoding="utf-8", newline="\n")
-            self._appender.write(line + "\n")
-            self._appender.flush()  # a kill loses at most the line being written
-            self._keep(held)
+            start = self._torn_at  # where the file ends good, until the appender tells
+            try:  # a read-only file system, a full disk, no permission
+                if self._appender is None:
+                    if self._torn_at is not None:
+                        os.truncate(self.path, self._torn_at)
+                        self._torn_at = None
+                    self._appender = open(self.path, "a", encoding="utf-8", newline="\n")
+                start = self._appender.tell()
+                self._appender.write(line + "\n")
+                self._appender.flush()  # a kill loses at most the line being written
+            except OSError as exc:
+                self._torn_at = start  # the next append cuts what reached the file
+                if self._appender is not None:
+                    with contextlib.suppress(OSError):  # its flush of the line may fail again
+                        self._appender.close()
+                    self._appender = None
+                reason = exc.strerror or exc
+                raise StoreError(f"cannot append to store {self.path}: {reason}") from exc
+            self._records[job_id] = held
 
     def close(self) -> None:
         """Close the file ``append`` holds open, if any; a later append opens it again."""
@@ -470,17 +478,13 @@ class JobStore:
 class _IdStore(JobStore):
     """A ``JobStore`` that keeps the job ids of its records, not the records.
 
-    It checks each line it opens, and each record's stored form it appends,
-    with ``_check``: ``from_dict``'s checks, without building the record.  So
-    a writer gets ``JobStore``'s bytes and ``path:line`` errors, ``len`` and
-    ``in`` answer as usual, and its memory grows by one id per record.  It
-    holds no records: ``get`` raises ``StoreError``; it lists, queries and
-    exports none.
+    Its ``_read`` checks each line it opens, and each record's stored form it
+    appends, with ``_check``: ``from_dict``'s checks, without building the
+    record.  So a writer gets ``JobStore``'s bytes and ``path:line`` errors,
+    ``len`` and ``in`` answer as usual, and its memory grows by one id per
+    record.  It holds no records: ``get`` raises ``StoreError``; it lists,
+    queries and exports none.
     """
 
-    def _read(self, obj: Any) -> tuple[str, str]:
-        job_id = _check(obj)
-        return job_id, job_id
-
-    def _keep(self, job_id: str) -> None:
-        self._records[job_id] = None  # the id is taken; no record is held
+    def _read(self, obj: Any) -> tuple[str, None]:
+        return _check(obj), None  # the id is taken; no record is held

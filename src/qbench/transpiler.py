@@ -84,8 +84,6 @@ REDUNDANT = GateSetProfile(
     native_2q=GateKind.CX,
 )
 
-PROFILES = {p.name: p for p in (EFFICIENT, REDUNDANT)}
-
 
 @dataclass(frozen=True)
 class TranspileResult:

@@ -7,6 +7,8 @@ import os
 import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,25 @@ def test_parse_qubits_forms():
             _parse_qubits(bad)
 
 
+def test_wide_qubit_range_is_refused_before_it_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"qubit sizes out of range in '2\.\.100000'"):
+            _parse_qubits("2..100000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_long_qubit_list_with_repeats_is_refused_quickly():
+    text = ",".join(str(2 + i % 59) for i in range(50_000))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"qubits = lists 2, 3, .*, 60 more than once"):
+        _parse_qubits(text)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_load_config_defaults_and_overrides(tmp_path):
     cfg_text = """
 [campaign]
@@ -83,7 +104,7 @@ queue_mu = 5.0
     assert cfg.qubits == (8, 10, 12)
     assert cfg.shots == 250 and cfg.days == 2 and cfg.seed == 7
     assert cfg.store == "/tmp/somewhere.jsonl"
-    assert cfg.budget_cap.usd == 1500.0
+    assert cfg.budget_cap == Money.from_usd("1500")
     garnet = cfg.targets[0]
     assert garnet.noise.f_2qg == 0.99
     assert garnet.gate_limit == 4000
@@ -200,6 +221,11 @@ CONFIG_TYPOS = {
     "override-not-in-use": (ONE_TARGET + "[target:garnett-aws]\nf_2qg = 0.9\n", "garnett-aws"),
     "unknown-section": (ONE_TARGET + "[targetz]\nuse = h1-azure\n", "[targetz]"),
     "default-key": ("[DEFAULT]\nshots = 7\n" + ONE_TARGET, "[DEFAULT] keys are not read"),
+    # refused with the other sections' keys, before the bad shots is read
+    "override-key": (
+        ONE_TARGET.replace("qubits = 4", "qubits = 4\nshots = many") + "[target:garnet-aws]\ncolor = red\n",
+        "unknown keys in [target:garnet-aws]: ['color']",
+    ),
 }
 
 
@@ -794,6 +820,21 @@ def test_campaign_run_under_a_parent_that_cannot_be_made_is_exit_3_and_creates_n
     assert f"store error: cannot open store {store_path}: " in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "c.ini"]
     assert (tmp_path / "blocker").read_text() == "a file, not a directory\n"
+
+
+def test_store_that_cannot_be_appended_is_exit_3(tmp_path, monkeypatch):
+    def read_only(file, mode="r", *args, **kwargs):
+        if "a" in mode:
+            raise OSError(errno.EROFS, "Read-only file system", str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "open", read_only, raising=False)
+    cfg = write_config(tmp_path / "c.ini", BASE_CONFIG)
+    store_path = tmp_path / "run.jsonl"
+    code, out, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert (code, out) == (3, "")
+    assert err == f"store error: cannot append to store {store_path}: Read-only file system\n"
+    assert store_path.read_bytes() == b""
 
 
 KILL_CONFIG = """

@@ -28,7 +28,6 @@ from qbench.circuit import (
 from qbench.cli import load_config, run_campaign
 from qbench.transpiler import (
     EFFICIENT,
-    PROFILES,
     REDUNDANT,
     GateSetProfile,
     TranspileResult,
@@ -42,6 +41,7 @@ from test_acceptance import CAMPAIGN_FIXTURE
 CRITERION_08_STORE_SHA256 = "7da4c2b494b44360e4a9f751e90acadedb6b6cce6b421d67b2da200a57f536c9"
 
 WIDTHS = (1, 2, 3, 8, 13, 16, 22, 36, 56)
+PROFILES = {p.name: p for p in (EFFICIENT, REDUNDANT)}
 
 
 def oracle_build_benchmark(q, n):

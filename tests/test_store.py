@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import random
@@ -640,3 +641,42 @@ def test_reading_a_store_never_opens_it_to_write(tmp_path, monkeypatch):
         store.query(status="processed")
         store.export_csv(tmp_path / "out.csv")
     assert [mode for file, mode, _ in opens.files if file == path] == ["rb"]
+
+
+class HalfLine:
+    """An append handle whose write puts the first half of its text in the file, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_append_that_fails_mid_line_holds_nothing_and_the_next_append_cuts_it(tmp_path, monkeypatch):
+    opens = RecordingOpen()
+    first = []
+
+    def half_line_once(file, mode="r", *args, **kwargs):
+        fh = opens(file, mode, *args, **kwargs)
+        if "a" in mode and not first:
+            first.append(HalfLine(fh))
+            return first[0]
+        return fh
+
+    monkeypatch.setattr(store_module, "open", half_line_once, raising=False)
+    path = tmp_path / "log.jsonl"
+    with JobStore(path) as store:
+        with pytest.raises(StoreError, match=f"cannot append to store {path}: No space left"):
+            store.append(make_record(0))
+        assert first[0].closed and len(store) == 0 and "job-0000" not in store
+        assert path.read_bytes() and not path.read_bytes().endswith(b"\n")  # half a line
+        store.append(make_record(1))
+    assert path.read_text() == json.dumps(make_record(1).to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert [r.job_id for r in JobStore(path).records()] == ["job-0001"]
+    assert all(fh.closed for fh in opens.appenders())

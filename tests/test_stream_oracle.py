@@ -53,7 +53,7 @@ class OracleStore(JobStore):
                 raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
             if record.job_id in self:
                 raise StoreError(f"{self.path}:{lineno}: duplicate job_id {record.job_id}")
-            self._keep(record)
+            self._records[record.job_id] = record
 
 
 def oracle_export_csv(store, out_path, columns=None, **filters):

@@ -18,7 +18,9 @@ import pytest
 from qbench.circuit import Circuit, Gate, GateKind, build_benchmark
 from qbench.providers import JobStatus, SimProvider, default_gate_limit, target_profile
 from qbench.simulator import circuit_unitary, gate_matrix, verify_equivalence
-from qbench.transpiler import EFFICIENT, PROFILES, REDUNDANT, euler_zyz, lowered_census, transpile
+from qbench.transpiler import EFFICIENT, REDUNDANT, euler_zyz, lowered_census, transpile
+
+PROFILES = {p.name: p for p in (EFFICIENT, REDUNDANT)}
 
 # (q, profile) -> (n_1q, n_2q) for the n=0 benchmark, hand-derived
 FROZEN_COUNTS = {
