@@ -3,9 +3,9 @@
 Distribution closeness uses the Hellinger-affinity fidelity
 F = (sum_x sqrt(p(x) q(x)))**2, with both counts maps normalized first.  A
 key outside either support adds nothing, so the sum runs over the shared
-support.  A run counts as a success when F >= 1/e; the boundary is
-inclusive.  For benchmark circuits the reference distribution is
-the analytic delta on the expected output, so scoring works at any width.
+support.  A run is a success when F >= 1/e, boundary inclusive (the store's
+``classify_success``, re-exported here).  For benchmark circuits the reference
+distribution is the analytic delta on the expected output, at any width.
 
 The zero-order device model predicts observed fidelity
 F_obs = f**n_2q + (1 - f**n_2q) / 2**q for a width-q benchmark.  The second
@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from .circuit import ideal_output
 from .costing import Money
 from .providers import JobStatus
-from .store import SUCCESS_THRESHOLD, JobRecord, csv_line
+from .store import SUCCESS_THRESHOLD, JobRecord, classify_success, csv_line
 
 
 def hellinger_fidelity(
@@ -41,11 +41,6 @@ def hellinger_fidelity(
     for key in p.keys() & q.keys():
         bc += math.sqrt((p[key] / pt) * (q[key] / qt))
     return bc * bc
-
-
-def classify_success(fidelity: float) -> bool:
-    """Threshold at 1/e, boundary inclusive."""
-    return fidelity >= SUCCESS_THRESHOLD
 
 
 def benchmark_fidelity(counts: Mapping[str, int], q: int, n: int) -> float:

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .analysis import REPORT_KINDS, benchmark_fidelity, classify_success, write_report
+from .analysis import REPORT_KINDS, benchmark_fidelity, write_report
 from .circuit import build_benchmark, random_input
 from .costing import Money
 from .providers import (
@@ -43,7 +43,7 @@ from .providers import (
 )
 from .rng import derive_seed
 from .simulator import GlobalDepolarizing
-from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, _IdStore
+from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, _IdStore, classify_success
 
 DEFAULT_SEED = 20240917
 SUBMIT_SPACING = 300  # seconds between consecutive submissions in a sweep
@@ -133,13 +133,13 @@ def _check_names(parser: configparser.ConfigParser, use: list[str]) -> None:
 
 
 def load_config(path: str) -> CampaignConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
     if "campaign" not in parser or "targets" not in parser:
         raise ConfigError("config needs [campaign] and [targets] sections")
@@ -287,28 +287,24 @@ def _parse_bool(text: str) -> bool:
     return text.lower() == "true"
 
 
-# filter text to a value of the declared field type; money is written in USD
+# filter text to a number, a boolean or money (written in USD); the store reads all other text
 _PARSE_BY_TYPE = {
-    str: str,
     int: int,
     float: float,
     bool: _parse_bool,
-    JobStatus: JobStatus,
     Money: Money.from_usd,
 }
 
 
 def _coerce_filter_value(key: str, text: str):
-    """Parse a filter value by the type of the field ``key`` names.
+    """Parse a number, boolean or USD filter value by the type of the field ``key`` names.
 
-    A name that is not a field, or a value it cannot hold (a NaN), is left for the store to refuse.
+    Other text goes to the store, which reads it as the open reads its field, or refuses it.
     """
     name = key.partition("__")[0]
-    if name not in RECORD_FIELDS:
-        return text
-    parse = _PARSE_BY_TYPE.get(RECORD_FIELDS[name][0])
+    parse = _PARSE_BY_TYPE.get(RECORD_FIELDS.get(name, (None,))[0])
     if parse is None:
-        raise ConfigError(f"field {name!r} cannot be filtered")
+        return text
     try:
         return parse(text)
     except ValueError as exc:

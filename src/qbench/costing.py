@@ -39,10 +39,6 @@ class Money:
     micros: int
 
     @classmethod
-    def zero(cls) -> "Money":
-        return cls(0)
-
-    @classmethod
     def from_usd(cls, amount: str | int | float | Decimal) -> "Money":
         """Parse a USD amount; rejects anything not finite or finer than a micro-dollar."""
         try:
@@ -144,8 +140,7 @@ class PerShotBilling:
     def job_cost(
         self, counts: GateCensus, shots: int, width: int, *, error_mitigated: bool = False
     ) -> Money:
-        raw = self.per_task + shots * self.per_shot
-        return Money(raw.cents_half_up() * _MICROS_PER_CENT)
+        return (self.per_task + shots * self.per_shot).scale(1)
 
 
 CostModel = Union[GateRateBilling, CreditBilling, PerShotBilling]

@@ -432,7 +432,7 @@ class SimProvider:
     def job_cost(self, handle: JobHandle) -> Money:
         """Cost of a job in its current status; non-processed jobs cost nothing."""
         if handle.status is not JobStatus.PROCESSED:
-            return Money.zero()
+            return Money(0)
         return self.target.billing.job_cost(
             handle.census,
             handle.shots,
@@ -487,7 +487,7 @@ _H1_NIGHTS = DailyWindowSchedule(start=17 * 3600, end=2 * 3600)
 
 
 @cache
-def default_gate_limit(accept_q: int = 16, reject_q: int = 18) -> int:
+def default_gate_limit(accept_q: int, reject_q: int) -> int:
     """Submission gate cap splitting two benchmark widths under REDUNDANT.
 
     Computed as the midpoint between the largest possible accept_q total

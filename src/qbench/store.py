@@ -59,7 +59,12 @@ from .circuit import GateCensus
 from .costing import Money
 from .providers import JobStatus
 
-SUCCESS_THRESHOLD = math.exp(-1)  # fidelity >= 1/e is a success; analysis.classify_success too
+SUCCESS_THRESHOLD = math.exp(-1)
+
+
+def classify_success(fidelity: float) -> bool:
+    """Threshold at 1/e, boundary inclusive."""
+    return fidelity >= SUCCESS_THRESHOLD
 
 
 class StoreError(Exception):
@@ -121,7 +126,7 @@ def _validate(job_id, qubits, shots, status, cost, executed_at, predicted_wait, 
             raise StoreError(f"{job_id}: counts hold a count below 1")
         if not 0.0 <= fidelity <= 1.0:
             raise StoreError(f"{job_id}: fidelity outside [0, 1]")
-        if success != (fidelity >= SUCCESS_THRESHOLD):
+        if success != classify_success(fidelity):
             raise StoreError(f"{job_id}: success flag contradicts fidelity")
         if executed_at is None:
             raise StoreError(f"{job_id}: processed record missing executed_at")
@@ -375,10 +380,10 @@ class JobStore:
     def _load(self, line: bytes, lineno: int) -> None:
         try:
             job_id, held = self._read(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"{self.path}:{lineno}: corrupt record line") from exc
         except UnicodeDecodeError as exc:
             raise StoreError(f"{self.path}:{lineno}: record line is not UTF-8") from exc
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, a too-long int, deep nesting
+            raise StoreError(f"{self.path}:{lineno}: corrupt record line") from exc
         except StoreError as exc:
             raise StoreError(f"{self.path}:{lineno}: {exc}") from exc
         if job_id in self._records:

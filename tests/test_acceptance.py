@@ -142,7 +142,7 @@ def test_criterion_04_cost_oracles():
 
     flat = Money.from_usd("15.30")
     rows = aggregate(processed_record(i, cost=flat) for i in range(4))
-    ok = ok and rows[0].cost_std == Money.zero() and str(rows[0].cost_std) == "$0.00"
+    ok = ok and rows[0].cost_std == Money(0) and str(rows[0].cost_std) == "$0.00"
     verdict(4, "cost-oracles", ok)
     assert ok
 
@@ -292,7 +292,7 @@ def test_criterion_09_availability_semantics():
         ok
         and refused.status is JobStatus.UNAVAILABLE
         and down.poll(refused, clock=10 * DAY).status is JobStatus.UNAVAILABLE
-        and down.job_cost(refused) == Money.zero()
+        and down.job_cost(refused) == Money(0)
     )
     verdict(9, "availability-semantics", ok)
     assert ok

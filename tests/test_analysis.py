@@ -144,13 +144,13 @@ class TestAggregate:
         rows = aggregate(records)
         for row in rows:
             assert row.mean_cost == Money.from_usd("15.30")
-            assert row.cost_std == Money.zero()
+            assert row.cost_std == Money(0)
             assert str(row.cost_std) == "$0.00"
 
     def test_single_record_std_zero(self):
         rows = aggregate([processed_record(0, fidelity=0.77)])
         assert rows[0].fidelity_std == 0.0
-        assert rows[0].cost_std == Money.zero()
+        assert rows[0].cost_std == Money(0)
 
     def test_non_processed_records_excluded(self):
         records = [processed_record(0), make_record(1, status=JobStatus.ERROR)]

@@ -240,6 +240,50 @@ def test_config_key_or_section_no_setting_reads_is_exit_2(tmp_path, case):
     assert not store_path.exists()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "; caf\xe9\n".encode("latin-1") + ONE_TARGET.encode(),  # a Latin-1 comment
+        (ONE_TARGET + "[campaign]\nshots = 7\n").encode(),  # [campaign] twice
+        b"qubits = 4\n" + ONE_TARGET.encode(),  # a key before any section header
+    ],
+    ids=["not-utf8", "duplicate-section", "no-section-header"],
+)
+def test_config_file_that_cannot_be_parsed_is_exit_2(tmp_path, body):
+    cfg = tmp_path / "c.ini"
+    cfg.write_bytes(body)
+    store_path = tmp_path / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"config error: bad config {cfg}: ")
+    assert not store_path.exists()
+
+
+@pytest.mark.parametrize("name", ["runs%1.jsonl", "s%(seed)s.jsonl"])
+def test_percent_in_a_config_value_is_read_as_written(tmp_path, name):
+    body = seeded(3).replace("qubits = 4", f"qubits = 4\nstore = {tmp_path / name}")
+    code, _, err = run_cli("campaign", "run", "--config", write_config(tmp_path / "c.ini", body))
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.ini", name])
+    assert len(JobStore(tmp_path / name)) == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("qubits = 4", "qubits = 4\nshots = 5%", "bad config value"),
+        ("use = garnet-aws", "use = garnet-aws%", "unknown target preset 'garnet-aws%'"),
+    ],
+)
+def test_percent_in_a_config_value_is_no_setting_and_exit_2(tmp_path, old, new, named):
+    cfg = write_config(tmp_path / "c.ini", ONE_TARGET.replace(old, new))
+    store_path = tmp_path / "run.jsonl"
+    code, _, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    assert code == 2
+    assert err.startswith("config error: ") and named in err
+    assert not store_path.exists()
+
+
 def test_inline_comments_are_stripped(tmp_path):
     body = """
 [campaign]
@@ -438,6 +482,21 @@ def test_filter_cost_that_is_not_finite_is_exit_2(typed_store, tmp_path, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad, words",
+    [
+        ("status=finished", "query field 'status': status: 'finished' is not a valid JobStatus"),
+        ("census=280", "query field 'census': census holds '280', not a stored GateCensus"),
+        ("counts__ge=1", "query field 'counts' takes no range operator"),
+    ],
+)
+def test_filter_on_a_field_the_store_reads_as_text_is_refused_in_its_words(
+    typed_store, tmp_path, bad, words
+):
+    code, _, err = _export_ids(typed_store, tmp_path, bad)
+    assert (code, err) == (2, f"config error: {words}\n")
+
+
 def test_filter_on_unknown_field_is_exit_2(typed_store, tmp_path):
     code, _, err = _export_ids(typed_store, tmp_path, "qbits=6")
     assert code == 2
@@ -497,6 +556,21 @@ def test_store_line_that_is_not_utf8_is_exit_3(tmp_path):
     code, _, err = run_cli("--store", str(store_path), "jobs", "poll")
     assert code == 3
     assert f"store error: {store_path}:1: record line is not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"[" * 200_000 + b"\n", b"9" * 5_000 + b"\n"],  # deeper than recursion, an int past 4,300 digits
+    ids=["deep-nesting", "long-int"],
+)
+def test_store_line_the_json_decoder_refuses_is_exit_3(tmp_path, line):
+    store_path = tmp_path / "run.jsonl"
+    store_path.write_bytes(line)
+    cfg = write_config(tmp_path / "c.ini", ONE_TARGET)
+    for args in (("jobs", "poll"), ("campaign", "run", "--config", cfg)):
+        code, _, err = run_cli("--store", str(store_path), *args)
+        assert (code, err) == (3, f"store error: {store_path}:1: corrupt record line\n")
+        assert store_path.read_bytes() == line
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_EDITS))

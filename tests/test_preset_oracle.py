@@ -61,7 +61,7 @@ def _per_shot(usd: str) -> PerShotBilling:
     return PerShotBilling(per_task=Money.from_usd("0.30"), per_shot=Money.from_usd(usd))
 
 
-_FREE = PerShotBilling(per_task=Money.zero(), per_shot=Money.zero())
+_FREE = PerShotBilling(per_task=Money(0), per_shot=Money(0))
 
 _AWS_QUEUE = QueueModel(mu=math.log(300.0), sigma=1.0)
 _AZURE_QUEUE = QueueModel(mu=math.log(600.0), sigma=1.2, predictor_bias=0.65)
@@ -78,7 +78,7 @@ ORACLE_MAKERS = {
         noise=GlobalDepolarizing(0.9995),
         queue=_AWS_QUEUE,
         schedule=RecurringOutageSchedule(period=36 * 3600, outage_start=30 * 3600, outage_len=6 * 3600),
-        gate_limit=default_gate_limit(),
+        gate_limit=default_gate_limit(16, 18),
     ),
     "aria1-azure": lambda: TargetProfile(
         name="aria1-azure",
@@ -97,7 +97,7 @@ ORACLE_MAKERS = {
         noise=GlobalDepolarizing(0.9995),
         queue=_AWS_QUEUE,
         schedule=AlwaysSchedule(UNAVAILABLE),
-        gate_limit=default_gate_limit(),
+        gate_limit=default_gate_limit(16, 18),
     ),
     "aria2-azure": lambda: TargetProfile(
         name="aria2-azure",

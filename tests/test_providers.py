@@ -404,7 +404,7 @@ def test_unavailable_target_refuses_without_lowering():
     assert h.lowered is None
     assert h.error_message
     assert prov.poll(h, 10 * DAY).status is JobStatus.UNAVAILABLE
-    assert prov.job_cost(h) == Money.zero()
+    assert prov.job_cost(h) == Money(0)
 
 
 def test_width_overflow_is_an_error():
@@ -421,7 +421,7 @@ def test_gate_limit_rejection_on_the_redundant_path():
     too_big = prov.submit(build_benchmark(18, 0), 100, 0, seed=6)
     assert too_big.status is JobStatus.ERROR
     assert "limit" in too_big.error_message
-    assert prov.job_cost(too_big) == Money.zero()
+    assert prov.job_cost(too_big) == Money(0)
 
 
 def test_reduced_capacity_window():
@@ -466,7 +466,7 @@ def test_cancel_before_start_and_after_finish():
     assert h.exec_start > 5 * H
     assert prov.cancel(h, 5 * H) is JobStatus.CANCELED
     assert prov.poll(h, h.exec_start + 10).status is JobStatus.CANCELED
-    assert prov.job_cost(h) == Money.zero()
+    assert prov.job_cost(h) == Money(0)
 
     h2 = prov.submit(build_benchmark(5, 3), 100, 4 * H, seed=3)
     assert prov.poll(h2, h2.exec_end).status is JobStatus.PROCESSED
@@ -570,16 +570,16 @@ def test_credit_bill_matches_the_formula():
 
 def test_emulators_are_free_or_cheap():
     prov, h = _processed_handle("aria1-emulator", 6, 500)
-    assert prov.job_cost(h) == Money.zero()
+    assert prov.job_cost(h) == Money(0)
     emu_prov, emu_h = _processed_handle("h1-emulator", 6, 500)
     hw_prov, hw_h = _processed_handle("h1-azure", 6, 500, clock=18 * H)
-    assert Money.zero() < emu_prov.job_cost(emu_h) < hw_prov.job_cost(hw_h)
+    assert Money(0) < emu_prov.job_cost(emu_h) < hw_prov.job_cost(hw_h)
 
 
 def test_unpriced_submissions_cost_nothing():
     prov = _provider("h1-azure")
     h = prov.submit(build_benchmark(5, 0), 100, 4 * H, seed=6)
-    assert prov.job_cost(h) == Money.zero()  # still queued
+    assert prov.job_cost(h) == Money(0)  # still queued
 
 
 # --- execution: census-first jobs against lowering every job --------------------

@@ -116,6 +116,10 @@ class TestStatevector:
         )
         np.testing.assert_allclose(u, expect, atol=1e-15)
 
+    def test_circuit_unitary_width_cap(self):
+        with pytest.raises(ValueError, match="capped at 10 qubits"):
+            circuit_unitary(Circuit(width=11, gates=(Gate(GateKind.X, (0,)),)))
+
 
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):

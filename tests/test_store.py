@@ -26,7 +26,7 @@ def make_record(i, **over):
         seed=1000 + i,
         submitted_at=300 * i,
         status=JobStatus.SUBMITTED,
-        cost=Money.zero(),
+        cost=Money(0),
     )
     fields.update(over)
     return JobRecord(**fields)
@@ -313,7 +313,7 @@ def _random_fixture(count, seed=7):
                 i,
                 status=status,
                 submitted_at=rng.randrange(0, 100_000),
-                cost=Money.zero(),
+                cost=Money(0),
             )
         records.append(r)
     return records

@@ -189,7 +189,7 @@ class TestGateLimit:
         return SimProvider(profile).submit(build_benchmark(q, 0), shots=10, clock=0, seed=1)
 
     def test_no_limit_accepts_anything(self):
-        assert lowered_census(build_benchmark(25, 0), REDUNDANT).total > default_gate_limit()
+        assert lowered_census(build_benchmark(25, 0), REDUNDANT).total > default_gate_limit(16, 18)
         handle = self._submit(25, None)
         assert handle.status is JobStatus.SUBMITTED and handle.error_message is None
 
@@ -202,11 +202,11 @@ class TestGateLimit:
         assert refused.error_message == f"lowered gate count {total} exceeds limit {total - 1}"
 
     def test_default_limit_value(self):
-        assert default_gate_limit() == 3231
+        assert default_gate_limit(16, 18) == 3231
         assert default_gate_limit(20, 22) == 4913
 
     def test_limit_separates_the_two_widths(self):
-        limit = default_gate_limit()
+        limit = default_gate_limit(16, 18)
         hi16 = transpile(build_benchmark(16, (1 << 16) - 1), REDUNDANT).census.total
         lo18 = transpile(build_benchmark(18, 0), REDUNDANT).census.total
         assert hi16 <= limit < lo18
