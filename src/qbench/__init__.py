@@ -1,5 +1,7 @@
 """Simulated quantum-cloud benchmarking: circuits, devices, billing, analysis."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     SUCCESS_THRESHOLD,
     aggregate,
@@ -70,66 +72,5 @@ from .transpiler import (
     transpile,
 )
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "SUCCESS_THRESHOLD",
-    "aggregate",
-    "benchmark_fidelity",
-    "classify_success",
-    "debias_uniform_floor",
-    "hellinger_fidelity",
-    "infer_f2qg",
-    "queue_prediction",
-    "write_report",
-    "Circuit",
-    "Gate",
-    "GateCensus",
-    "GateKind",
-    "build_benchmark",
-    "census",
-    "circuit_from_json",
-    "circuit_to_json",
-    "ideal_output",
-    "random_input",
-    "CreditBilling",
-    "GateRateBilling",
-    "Money",
-    "PerShotBilling",
-    "credit_charge",
-    "DAY",
-    "AlwaysSchedule",
-    "DailyWindowSchedule",
-    "DegradedKind",
-    "JobHandle",
-    "JobStatus",
-    "PollResult",
-    "PRESET_NAMES",
-    "QueueModel",
-    "RecurringOutageSchedule",
-    "SimProvider",
-    "TargetProfile",
-    "TargetState",
-    "TargetStatus",
-    "default_gate_limit",
-    "target_profile",
-    "derive_seed",
-    "MAX_WIDTH",
-    "GlobalDepolarizing",
-    "PauliTrajectory",
-    "circuit_unitary",
-    "ideal_distribution",
-    "run_noisy",
-    "run_statevector",
-    "sample",
-    "verify_equivalence",
-    "JobRecord",
-    "JobStore",
-    "StoreError",
-    "EFFICIENT",
-    "REDUNDANT",
-    "GateSetProfile",
-    "TranspileResult",
-    "lowered_census",
-    "transpile",
-]
+# pydoc documents a re-exported function only when __all__ names it.
+__all__ = [n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))]

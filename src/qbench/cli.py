@@ -318,6 +318,7 @@ def _parse_filters(pairs: Sequence[str]) -> dict:
         if not sep or not key:
             raise ConfigError(f"filters take key=value form, got {pair!r}")
         filters[key] = _coerce_filter_value(key, value)
+    _refuse_repeats("--filter", (pair.partition("=")[0] for pair in pairs))
     return filters
 
 

@@ -307,6 +307,10 @@ class SimProvider:
         """Validate, count the lowering, and enqueue; returns a handle, possibly terminal."""
         if type(shots) is not int or shots < 1:
             raise ValueError(f"shots {shots!r} is not an int >= 1")
+        if type(clock) is not int:
+            raise ValueError(f"clock {clock!r} is not an int")
+        if type(seed) is not int or not 0 <= seed < 1 << 64:  # rng folds a seed to 64 bits
+            raise ValueError(f"seed {seed!r} is not an int in [0, 2**64)")
         with self._lock:
             if job_id is None:
                 job_id = f"{self.target.name}-{len(self._spans):06d}"

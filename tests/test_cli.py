@@ -503,6 +503,25 @@ def test_filter_on_unknown_field_is_exit_2(typed_store, tmp_path):
     assert "config error: unknown query field 'qbits'" in err
 
 
+def test_repeated_filter_key_in_store_export_is_exit_2(typed_store, tmp_path):
+    code, ids, err = _export_ids(typed_store, tmp_path, "qubits=8", "qubits=10")
+    assert (code, ids, err) == (2, [], "config error: --filter lists qubits more than once\n")
+    assert [p.name for p in tmp_path.iterdir()] == [typed_store.name]
+    # distinct keys on one field are a range, not a repeat
+    assert _export_ids(typed_store, tmp_path, "qubits__ge=8", "qubits__le=10")[:2] == (
+        0,
+        ["123", "job-0003"],
+    )
+
+
+def test_repeated_filter_key_in_report_is_exit_2(typed_store, tmp_path):
+    out = tmp_path / "t.csv"
+    args = ["--store", str(typed_store), "report", "table6", "--out", str(out)]
+    code, _, err = run_cli(*args, "--filter", "status=processed", "--filter", "status=processed")
+    assert (code, err) == (2, "config error: --filter lists status more than once\n")
+    assert not out.exists()
+
+
 def test_export_of_an_unknown_column_is_exit_2_and_writes_nothing(typed_store, tmp_path):
     out = tmp_path / "cols.csv"
     args = ["--store", str(typed_store), "store", "export", "--columns", "job_id,bogus"]

@@ -397,6 +397,29 @@ def test_shots_must_be_an_int(shots):
     assert prov.submit(build_benchmark(3, 1), 500, 0, seed=1).shots == 500
 
 
+@pytest.mark.parametrize("clock", [10.5, True])
+def test_clock_must_be_an_int(clock):
+    prov = _provider("garnet-aws")
+    with pytest.raises(ValueError, match=rf"clock {clock!r} is not an int"):
+        prov.submit(build_benchmark(3, 1), 500, clock, seed=1)
+    # refused before the lock: no span is kept and no auto id is used up
+    assert prov.submit(build_benchmark(3, 1), 500, 0, seed=1).job_id == "garnet-aws-000000"
+
+
+@pytest.mark.parametrize("seed", [1.5, True, 2**70, 2**64, -1])
+def test_seed_must_be_an_int_in_64_bits(seed):
+    prov = _provider("garnet-aws")
+    with pytest.raises(ValueError, match=rf"seed {seed!r} is not an int in \[0, 2\*\*64\)"):
+        prov.submit(build_benchmark(3, 1), 500, 0, seed=seed)
+    assert prov.submit(build_benchmark(3, 1), 500, 0, seed=1).job_id == "garnet-aws-000000"
+
+
+def test_seed_bounds_are_accepted():
+    prov = _provider("garnet-aws")
+    for seed in (0, 2**64 - 1):
+        assert prov.submit(build_benchmark(3, 1), 500, 0, seed=seed).seed == seed
+
+
 def test_unavailable_target_refuses_without_lowering():
     prov = _provider("aria2-aws")
     h = prov.submit(build_benchmark(8, 1), 500, 0, seed=9)
