@@ -198,7 +198,13 @@ def _x_gate(i: int) -> Gate:
 
 def _x_prefix(q: int, n: int) -> tuple[Gate, ...]:
     """Segment (a): the X gates that prepare |n>, lowest qubit first."""
-    return tuple(_x_gate(i) for i in range(q) if (n >> i) & 1)
+    # Built from a list, so the tuple is allocated at its final size.  Do not
+    # make this a generator: CPython's tuple(<generator>) guesses a size and
+    # resizes to the popcount of n, so each freed prefix lands on the free list
+    # of a size it was not taken from (up to 2,000 tuples per size), and a
+    # campaign's peak RSS would climb with the number of jobs it has run.
+    # (CPython 3.11 also parks every freed 20-item tuple and never reuses one.)
+    return tuple([_x_gate(i) for i in range(q) if (n >> i) & 1])
 
 
 @cache

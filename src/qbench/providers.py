@@ -286,6 +286,12 @@ class PollResult:
     queue_position: int | None = None
 
 
+def _check_clock(clock: int) -> None:
+    """Refuse a clock that is not an int (a bool is not one), as every record stores ints."""
+    if type(clock) is not int:
+        raise ValueError(f"clock {clock!r} is not an int")
+
+
 class SimProvider:
     """One simulated access path to one target machine."""
 
@@ -307,10 +313,11 @@ class SimProvider:
         """Validate, count the lowering, and enqueue; returns a handle, possibly terminal."""
         if type(shots) is not int or shots < 1:
             raise ValueError(f"shots {shots!r} is not an int >= 1")
-        if type(clock) is not int:
-            raise ValueError(f"clock {clock!r} is not an int")
+        _check_clock(clock)
         if type(seed) is not int or not 0 <= seed < 1 << 64:  # rng folds a seed to 64 bits
             raise ValueError(f"seed {seed!r} is not an int in [0, 2**64)")
+        if job_id is not None and (type(job_id) is not str or not job_id):
+            raise ValueError(f"job_id {job_id!r} is not a non-empty str")
         with self._lock:
             if job_id is None:
                 job_id = f"{self.target.name}-{len(self._spans):06d}"
@@ -377,6 +384,7 @@ class SimProvider:
 
     def poll(self, handle: JobHandle, clock: int) -> PollResult:
         """Status at ``clock``; idempotent for a fixed clock."""
+        _check_clock(clock)
         with self._lock:
             status = self._status_at(handle, clock)
             if status is JobStatus.PROCESSED and handle._counts is None:
@@ -421,6 +429,7 @@ class SimProvider:
 
     def cancel(self, handle: JobHandle, clock: int) -> JobStatus:
         """Cancel if execution has not begun; otherwise report the real status."""
+        _check_clock(clock)
         with self._lock:
             status = self._status_at(handle, clock)
             if status is not JobStatus.SUBMITTED:

@@ -5,12 +5,19 @@ records, and each provider keeps a job's execution span, not its handle.  So
 once job k's line is written, its ``JobRecord`` and ``JobHandle`` (with the
 circuit, census and counts they hold) must be freed before job k+1 is
 appended, and the campaign's memory does not grow with the records.
+
+Nor may a job leave memory behind that no object holds: building a benchmark
+must not park a short tuple on one of CPython's free lists each time, which
+would make a campaign's peak RSS climb with the number of jobs it has run.
 """
 
+import gc
+import sys
 import weakref
 
 import pytest
 
+from qbench.circuit import build_benchmark, random_input
 from qbench.cli import load_config, run_campaign
 from qbench.providers import SimProvider
 from qbench.store import JobStore, StoreError, _IdStore
@@ -74,3 +81,23 @@ def test_id_store_get_of_a_held_id_is_a_store_error(tmp_path):
     with pytest.raises(StoreError, match="no record 'job-0000'"):
         ids.get("job-0000")
     assert list(ids.records()) == [] and ids.query() == []
+
+
+def test_building_benchmarks_leaves_no_blocks_behind():
+    widths = range(8, 37, 4)
+    for q in widths:  # cache each width's body and the shared X gates
+        build_benchmark(q, random_input(q, 0))
+    gc.collect()  # a full collection empties the tuple free lists
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for seed in range(2500):
+            for q in widths:
+                build_benchmark(q, random_input(q, seed))
+        grown = sys.getallocatedblocks() - before
+    finally:
+        if enabled:
+            gc.enable()
+    # a prefix made by tuple(<generator>) parks ~18,000 tuples here
+    assert grown < 2000, grown

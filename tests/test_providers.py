@@ -420,6 +420,31 @@ def test_seed_bounds_are_accepted():
         assert prov.submit(build_benchmark(3, 1), 500, 0, seed=seed).seed == seed
 
 
+@pytest.mark.parametrize("job_id", [5, "", b"job", True])
+def test_job_id_must_be_a_non_empty_str(job_id):
+    prov = _provider("garnet-aws")
+    with pytest.raises(ValueError, match=rf"job_id {job_id!r} is not a non-empty str"):
+        prov.submit(build_benchmark(3, 1), 500, 0, seed=1, job_id=job_id)
+    # refused before the lock: no span is kept and no auto id is used up
+    assert prov._spans == {}
+    assert prov.submit(build_benchmark(3, 1), 500, 0, seed=1).job_id == "garnet-aws-000000"
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.0])
+def test_poll_and_cancel_refuse_a_clock_that_is_not_an_int(offset):
+    prov = _provider("garnet-aws")
+    h = prov.submit(build_benchmark(3, 1), 500, 0, seed=1)
+    for clock in (offset, h.exec_end + offset, True, False):
+        with pytest.raises(ValueError, match=rf"clock {clock!r} is not an int"):
+            prov.poll(h, clock)
+        with pytest.raises(ValueError, match=rf"clock {clock!r} is not an int"):
+            prov.cancel(h, clock)
+    # nothing changed: the job was neither run nor canceled
+    assert h.status is JobStatus.SUBMITTED and h._counts is None
+    assert prov._spans == {h.job_id: (h.exec_start, h.exec_end)}
+    assert prov.poll(h, h.exec_end).status is JobStatus.PROCESSED
+
+
 def test_unavailable_target_refuses_without_lowering():
     prov = _provider("aria2-aws")
     h = prov.submit(build_benchmark(8, 1), 500, 0, seed=9)
