@@ -36,7 +36,6 @@ from .providers import (
     DAY,
     AlwaysSchedule,
     DailyWindowSchedule,
-    DegradedKind,
     JobHandle,
     JobStatus,
     PollResult,

@@ -169,6 +169,14 @@ def load_config(path: str) -> CampaignConfig:
         raise ConfigError(f"bad config value: {exc}") from exc
     if shots < 1 or days < 1 or sweeps < 1 or DAY % sweeps:
         raise ConfigError("shots/days/sweeps_per_day must be positive (sweeps divide a day)")
+    # a sweep's last slot must come before the next sweep's first, so every
+    # slot has its own clock and a store is written in (submitted_at, job_id) order
+    slots = len(targets) * len(qubits)
+    if (slots - 1) * SUBMIT_SPACING >= DAY // sweeps:
+        raise ConfigError(
+            f"sweeps_per_day = {sweeps} leaves {DAY // sweeps} s a sweep, too short for"
+            f" {slots} slots {SUBMIT_SPACING} s apart"
+        )
     if budget_cap is not None and budget_cap.micros < 0:
         raise ConfigError("budget_cap must be >= 0")
     if not 0 <= seed < 1 << 64:  # rng folds a seed to 64 bits; wider ones would alias

@@ -58,9 +58,6 @@ class Money:
     def __add__(self, other: "Money") -> "Money":
         return Money(self.micros + other.micros)
 
-    def __sub__(self, other: "Money") -> "Money":
-        return Money(self.micros - other.micros)
-
     def __mul__(self, count: int) -> "Money":
         if not isinstance(count, int):
             raise TypeError("Money multiplies by int only; use scale() for rationals")

@@ -13,10 +13,10 @@ presets that have one.
 
 Status model:
 
-* targets are Available, Degraded, or Unavailable at any instant.  Degraded
-  comes in two observed flavors: accept-and-hold (submissions are accepted
-  but execution waits for the next Available window) and reduced capacity
-  (the target runs but with fewer usable qubits).
+* targets are Available, Degraded, or Unavailable at any instant.  A
+  Degraded status either holds submissions (no ``reduced_width``: they are
+  accepted but execution waits for the next Available window) or runs jobs
+  up to its ``reduced_width`` qubits.
 * jobs are submitted, processed, error, canceled, or unavailable; the last
   four are terminal.  A submission attempt against an Unavailable target
   terminates immediately (and costs nothing).
@@ -71,32 +71,24 @@ class TargetState(str, Enum):
     UNAVAILABLE = "unavailable"
 
 
-class DegradedKind(str, Enum):
-    ACCEPT_HOLD = "accept_hold"
-    REDUCED_CAPACITY = "reduced_capacity"
-
-
 @dataclass(frozen=True)
 class TargetStatus:
     state: TargetState
-    degraded: DegradedKind | None = None
-    reduced_width: int | None = None
+    reduced_width: int | None = None  # degraded: run jobs up to it, or hold them if None
 
     def __post_init__(self) -> None:
-        if (self.state is TargetState.DEGRADED) != (self.degraded is not None):
-            raise ValueError("degraded kind set iff state is degraded")
-        width, reduced = self.reduced_width, self.degraded is DegradedKind.REDUCED_CAPACITY
-        if (type(width) is not int or width < 1) if reduced else width is not None:
-            raise ValueError(f"reduced_width {width!r}: an int >= 1 on reduced capacity, else None")
+        width, degraded = self.reduced_width, self.state is TargetState.DEGRADED
+        if width is not None and not (degraded and type(width) is int and width >= 1):
+            raise ValueError(f"reduced_width {width!r}: an int >= 1 on a degraded status, else None")
 
 
 AVAILABLE = TargetStatus(TargetState.AVAILABLE)
 UNAVAILABLE = TargetStatus(TargetState.UNAVAILABLE)
-ACCEPT_HOLD = TargetStatus(TargetState.DEGRADED, DegradedKind.ACCEPT_HOLD)
+ACCEPT_HOLD = TargetStatus(TargetState.DEGRADED)
 
 
 def reduced_capacity(width: int) -> TargetStatus:
-    return TargetStatus(TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, width)
+    return TargetStatus(TargetState.DEGRADED, width)
 
 
 # --- availability schedules ---------------------------------------------------
@@ -346,7 +338,7 @@ class SimProvider:
             handle.error_message = "target unavailable at submission"
             return handle
         effective_width = t.qubits
-        if status.degraded is DegradedKind.REDUCED_CAPACITY:
+        if status.reduced_width is not None:
             effective_width = min(effective_width, status.reduced_width)
         if circuit.width > effective_width:
             handle.status = JobStatus.ERROR
@@ -376,7 +368,7 @@ class SimProvider:
     def _next_runnable(self, clock: int, width: int) -> int | None:
         """Earliest instant >= clock when the target will actually run a job."""
         status = self.target.schedule.status_at(clock)
-        if status.degraded is DegradedKind.REDUCED_CAPACITY and width <= status.reduced_width:
+        if status.reduced_width is not None and width <= status.reduced_width:
             return clock  # degraded but still running jobs of this width
         return self.target.schedule.next_available_at(clock)
 
@@ -499,7 +491,6 @@ _ARIA1_AZURE_HOURS = RecurringOutageSchedule(36 * 3600, outage_start=24 * 3600, 
 _H1_NIGHTS = DailyWindowSchedule(start=17 * 3600, end=2 * 3600)
 
 
-@cache
 def default_gate_limit(accept_q: int, reject_q: int) -> int:
     """Submission gate cap splitting two benchmark widths under REDUNDANT.
 

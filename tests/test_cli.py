@@ -7,18 +7,30 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qbench
 from qbench import cli
 from qbench import store as store_module
-from qbench.cli import DEFAULT_SEED, ConfigError, _parse_qubits, load_config, main, record_from_poll
+from qbench.cli import (
+    DEFAULT_SEED,
+    SUBMIT_SPACING,
+    ConfigError,
+    _parse_qubits,
+    load_config,
+    main,
+    record_from_poll,
+    run_campaign,
+)
 from qbench.costing import Money
-from qbench.providers import JobStatus
+from qbench.providers import DAY, PRESET_NAMES, JobStatus
 from qbench.store import JobStore
 from test_store import (
     MALFORMED_EDITS,
@@ -214,6 +226,42 @@ def test_largest_64_bit_seed_still_runs(tmp_path):
     assert run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)[0] == 0
     assert len(JobStore(store_path)) == 1
 
+
+def sweeps_config(sweeps):
+    return (
+        f"[campaign]\nqubits = 8,10\ndays = 1\nsweeps_per_day = {sweeps}\n"
+        "[targets]\nuse = garnet-aws, h2-azure\n"
+    )
+
+
+def test_sweeps_too_short_for_their_slots_are_exit_2_and_create_no_store(tmp_path):
+    # 288 sweeps leave 300 s each, so four slots 300 s apart ran into the next
+    # sweep and past the only day, and gave one target two jobs at one clock
+    cfg = write_config(tmp_path / "c.ini", sweeps_config(288))
+    store_path = tmp_path / "run.jsonl"
+    code, out, err = run_cli("--store", str(store_path), "campaign", "run", "--config", cfg)
+    message = "sweeps_per_day = 288 leaves 300 s a sweep, too short for 4 slots 300 s apart"
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
+
+
+@pytest.mark.parametrize(
+    "sweeps, loads",
+    [
+        (72, True),  # 1,200 s a sweep: four slots fill it at their spacing
+        (90, True),  # 960 s: the last slot is at 900 s, the largest count that fits
+        (96, False),  # 900 s: the last slot would share the next sweep's first clock
+    ],
+)
+def test_sweeps_per_day_fits_every_slot_before_the_next_sweep(tmp_path, sweeps, loads):
+    path = write_config(tmp_path / "c.ini", sweeps_config(sweeps))
+    if loads:
+        assert load_config(path).sweeps_per_day == sweeps
+    else:
+        with pytest.raises(ConfigError, match=f"sweeps_per_day = {sweeps} leaves 900 s a sweep"):
+            load_config(path)
+
+
 # a config line no setting reads, and what the error must name
 CONFIG_TYPOS = {
     "campaign-key": (ONE_TARGET.replace("qubits = 4", "qubits = 4\nshot = 7"), "['shot']"),
@@ -358,6 +406,45 @@ use = garnet-aws
     summary = json.loads(out)
     assert summary["jobs"] == 1  # $1.03 spent after the first job blows the cap
     assert summary["skipped_budget"] == 1
+
+
+# sweep counts that divide a day, up to 96 (900 s sweeps); a config draws one its
+# slots fit in, as more sweeps would add jobs but no new order
+SWEEP_COUNTS = [n for n in range(1, 97) if DAY % n == 0]
+BINDING_CAP = "budget_cap = 0.50\n"  # garnet-aws's second 100-shot job passes it
+
+
+@st.composite
+def small_campaigns(draw):
+    use = draw(st.lists(st.sampled_from(PRESET_NAMES), min_size=1, max_size=3, unique=True))
+    sizes = st.sampled_from([2, 5, 8, 16, 18, 22])
+    qubits = draw(st.lists(sizes, min_size=1, max_size=3, unique=True))
+    slots = len(use) * len(qubits)
+    fits = [n for n in SWEEP_COUNTS if (slots - 1) * SUBMIT_SPACING < DAY // n]
+    return (
+        f"[campaign]\nqubits = {','.join(map(str, qubits))}\nshots = 100\n"
+        f"days = {draw(st.integers(1, 2))}\nsweeps_per_day = {draw(st.sampled_from(fits))}\n"
+        f"seed = {draw(st.integers(0, 1000))}\n{draw(st.sampled_from(['', BINDING_CAP]))}"
+        f"[targets]\nuse = {', '.join(use)}\n"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@example(
+    "[campaign]\nqubits = 2,5\nshots = 100\ndays = 2\nsweeps_per_day = 4\nseed = 1\n"
+    f"{BINDING_CAP}[targets]\nuse = garnet-aws, h2-azure\n"
+)
+@given(small_campaigns())
+def test_campaign_store_is_in_query_order(body):
+    # every slot has its own clock, so (submitted_at, job_id) strictly rises
+    # line by line, budget skips included
+    with tempfile.TemporaryDirectory() as tmp:
+        store_path = os.path.join(tmp, "run.jsonl")
+        summary = run_campaign(load_config(write_config(Path(tmp) / "c.ini", body)), store_path)
+        with open(store_path, encoding="utf-8") as fh:
+            keys = [(r["submitted_at"], r["job_id"]) for r in map(json.loads, fh)]
+    assert len(keys) == summary["jobs"]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_jobs_poll_summarizes(tmp_path):

@@ -25,7 +25,6 @@ from qbench.providers import (
     UNAVAILABLE,
     AlwaysSchedule,
     DailyWindowSchedule,
-    DegradedKind,
     JobStatus,
     PRESET_NAMES,
     QueueModel,
@@ -214,32 +213,29 @@ def test_next_available_is_the_first_available_instant(schedule, clock):
 
 
 def test_target_status_validation():
-    with pytest.raises(ValueError):
-        TargetStatus(TargetState.DEGRADED)  # kind missing
-    with pytest.raises(ValueError):
-        TargetStatus(TargetState.AVAILABLE, DegradedKind.ACCEPT_HOLD)
-    with pytest.raises(ValueError):
-        TargetStatus(TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY)
+    # a degraded status without a width holds submissions; with one it runs narrow jobs
+    assert ACCEPT_HOLD == TargetStatus(TargetState.DEGRADED)
+    assert ACCEPT_HOLD.reduced_width is None
+    assert reduced_capacity(10) == TargetStatus(TargetState.DEGRADED, 10)
     assert reduced_capacity(10).reduced_width == 10
     assert reduced_capacity(1).reduced_width == 1
 
 
 @pytest.mark.parametrize(
-    "state, kind, width",
+    "state, width",
     [
-        (TargetState.AVAILABLE, None, 5),
-        (TargetState.UNAVAILABLE, None, 5),
-        (TargetState.DEGRADED, DegradedKind.ACCEPT_HOLD, 3),
-        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, 0),
-        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, -4),
-        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, 2.5),
-        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, True),
-        (TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, "3"),
+        (TargetState.AVAILABLE, 5),
+        (TargetState.UNAVAILABLE, 5),
+        (TargetState.DEGRADED, 0),
+        (TargetState.DEGRADED, -4),
+        (TargetState.DEGRADED, 2.5),
+        (TargetState.DEGRADED, True),
+        (TargetState.DEGRADED, "3"),
     ],
 )
-def test_reduced_width_is_a_positive_int_on_reduced_capacity_only(state, kind, width):
+def test_reduced_width_is_a_positive_int_on_reduced_capacity_only(state, width):
     with pytest.raises(ValueError, match="reduced_width"):
-        TargetStatus(state, kind, width)
+        TargetStatus(state, width)
 
 
 # --- queue model -------------------------------------------------------------------

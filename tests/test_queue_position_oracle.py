@@ -21,12 +21,10 @@ from qbench.providers import (
     DAY,
     AlwaysSchedule,
     DailyWindowSchedule,
-    DegradedKind,
     JobStatus,
     RecurringOutageSchedule,
     SimProvider,
-    TargetState,
-    TargetStatus,
+    reduced_capacity,
     target_profile,
 )
 
@@ -68,7 +66,7 @@ SCHEDULES = {
         DAY,
         outage_start=6 * H,
         outage_len=12 * H,
-        outage_status=TargetStatus(TargetState.DEGRADED, DegradedKind.REDUCED_CAPACITY, 3),
+        outage_status=reduced_capacity(3),
     ),
     "held-forever": AlwaysSchedule(ACCEPT_HOLD),
 }
