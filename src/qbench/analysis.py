@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .circuit import ideal_output
@@ -150,13 +151,13 @@ def _processed(records: list[JobRecord], key) -> list[JobRecord]:
 
 def _fidelity_vs_qubits(records: list[JobRecord]) -> _Table:
     header = ["qubits", "cloud", "target", "fidelity", "job_id"]
-    done = _processed(records, lambda r: (r.qubits, r.cloud, r.target, r.submitted_at, r.job_id))
+    done = _processed(records, attrgetter("qubits", "cloud", "target", "submitted_at", "job_id"))
     return header, [[r.qubits, r.cloud, r.target, repr(r.fidelity), r.job_id] for r in done]
 
 
 def _fidelity_vs_time(records: list[JobRecord]) -> _Table:
     header = ["submitted_at", "cloud", "target", "qubits", "fidelity", "job_id"]
-    done = _processed(records, lambda r: (r.submitted_at, r.job_id))
+    done = _processed(records, attrgetter("submitted_at", "job_id"))
     return header, [
         [r.submitted_at, r.cloud, r.target, r.qubits, repr(r.fidelity), r.job_id] for r in done
     ]
@@ -175,9 +176,10 @@ _STATUS_COLUMNS = ("processed", "submitted", "error", "canceled", "unavailable")
 
 def _availability(records: list[JobRecord]) -> _Table:
     header = ["target", "cloud", "attempts", *_STATUS_COLUMNS, "accepting_fraction"]
+    counted = Counter(map(attrgetter("target", "cloud", "status"), records))
     by_target: dict[tuple[str, str], Counter[str]] = {}
-    for r in records:
-        by_target.setdefault((r.target, r.cloud), Counter())[r.status.value] += 1
+    for (target, cloud, status), n in counted.items():
+        by_target.setdefault((target, cloud), Counter())[status.value] = n
     rows = []
     for (target, cloud), seen in sorted(by_target.items()):
         n = seen.total()

@@ -22,10 +22,11 @@ name as its declared type, except the three types ``_STORED_AS`` maps to JSON
 ``GateCensus`` as ``{n_1q, n_2q, total}``).  The codec is generated once, at
 import, from the annotations and ``_STORED_AS``: ``to_dict`` is one dict
 display and ``from_dict`` one unrolled run of checks, each built with ``exec``
-the way ``dataclasses`` builds ``__init__``.  Reads check every value against
-its declared type (the keys of an object field too), then the rules across
-fields (``_validate``, which ``validate`` runs too).  ``_check`` is that run
-without the record: it returns the job_id.  ``append`` reads each record's
+the way ``dataclasses`` builds ``__init__``.  Equal stored censuses and costs
+decode, after their checks, to one shared object.  Reads check every value
+against its declared type (the keys of an object field too), then the rules
+across fields (``_validate``, which ``validate`` runs too).  ``_check`` is that
+run without the record: it returns the job_id.  ``append`` reads each record's
 stored form the same way, so it refuses what the open refuses (the open adds
 ``path:line``), and ``JobStore`` holds each field as its declared type.
 Timestamps are integer seconds from the campaign epoch.  Query supports
@@ -36,9 +37,11 @@ field: it must be the field's type (``Money``, ``JobStatus``) or its stored
 form (micro-USD, status text naming a status), with a dict's contents checked,
 and finite; None matches an optional field by equality only.  Any other filter
 raises ``StoreError``.  Results are ordered by (submitted_at, job_id) so equal
-filters always produce identical bytes on export.  CSV rows (export and
-reports) go through ``csv_line``, which writes the bytes of ``csv.writer``'s
-default dialect.
+filters always produce identical bytes on export.  Every CSV cell is quoted by
+one rule, ``_quote``, as ``csv.writer``'s default dialect quotes it.  Report
+rows go through ``csv_line``; export rows through a row writer generated, like
+the codec, from the annotations and ``_STORED_AS`` once per column list, which
+writes the bytes ``csv_line`` writes of the stored values.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter, ge, gt, le, lt
 from pathlib import Path
 from types import NoneType, UnionType
@@ -152,6 +156,12 @@ RECORD_FIELDS = {name: _declared(hint) for name, hint in get_type_hints(JobRecor
 
 
 def _census_from_json(obj: dict[str, int]) -> GateCensus:
+    return _census_from_items(tuple(obj.items()))
+
+
+@lru_cache(maxsize=1024)  # equal stored censuses decode to one shared object
+def _census_from_items(items: tuple[tuple[str, int], ...]) -> GateCensus:
+    obj = dict(items)
     census = GateCensus(n_1q=obj.get("n_1q", 0), n_2q=obj.get("n_2q", 0))
     if census.as_dict() != obj:  # a missing or unknown key, or a wrong total
         raise ValueError(f"{obj} is not {census.as_dict()}")
@@ -169,7 +179,7 @@ def _status_from_json(text: str) -> JobStatus:
 # field types not stored as themselves: type -> (JSON type, to JSON, from JSON)
 _STORED_AS = {
     JobStatus: (str, attrgetter("_value_"), _status_from_json),
-    Money: (int, attrgetter("micros"), Money),
+    Money: (int, attrgetter("micros"), lru_cache(maxsize=1024)(Money)),  # equal costs share one
     GateCensus: (dict[str, int], GateCensus.as_dict, _census_from_json),
 }
 
@@ -178,6 +188,22 @@ _STORED_AS = {
 def _flat(value: Any) -> Any:
     codec = _STORED_AS.get(type(value))
     return value if codec is None else codec[1](value)
+
+
+# the one JSON encoding of the store: record lines, and counts and census cells in CSV
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _quote(cell: str) -> str:
+    """A CSV cell as ``csv.writer`` writes it: quoted, with its quotes doubled, only
+    when it holds a quote, comma, CR or LF."""
+    if '"' in cell or "," in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+# a census's CSV cell, made once per census: equal stored censuses decode to one object
+_object_cell = lru_cache(maxsize=1024)(lambda value: _quote(_json_text(_flat(value))))
 
 
 def _encoder_source() -> str:
@@ -269,6 +295,7 @@ def _reader_source(name: str) -> str:
 def _compile(source: str, qualname: str) -> Any:
     """The function ``source`` defines, named ``qualname``, with the store's names in scope."""
     scope: dict[str, Any] = {"StoreError": StoreError, "_flat": _flat, "_validate": _validate}
+    scope |= {"_json_text": _json_text, "_quote": _quote, "_object_cell": _object_cell}
     scope["_FIELDS"] = RECORD_FIELDS.keys()
     for typ, (_, to_json, from_json) in _STORED_AS.items():
         held = typ.__name__
@@ -287,29 +314,47 @@ _check = _compile(_decoder_source(False), "_check")
 _READERS = {name: _compile(_reader_source(name), f"read_{name}") for name in RECORD_FIELDS}
 
 
-# the one JSON encoding of the store: record lines, and counts and census cells in CSV
-_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _export_cell(value: Any) -> Any:
-    value = _flat(value)
-    return _json_text(value) if type(value) is dict else value
-
-
 def csv_line(fields: Iterable[Any]) -> str:
     """One CSV row, byte for byte as ``csv.writer`` writes it in its default dialect.
 
-    A cell is ``str`` of its value (None is empty).  It is quoted only when it
-    holds a quote, comma, CR or LF, with its quotes doubled.  Rows end in CRLF,
-    and a row of one empty cell is written ``""`` so it does not read as blank.
+    A cell is ``str`` of its value (None is empty), through ``_quote``.  Rows
+    end in CRLF, and a row of one empty cell is written ``""`` so it does not
+    read as blank.
     """
-    cells = ["" if f is None else str(f) for f in fields]
-    for i, cell in enumerate(cells):
-        if '"' in cell or "," in cell or "\r" in cell or "\n" in cell:
-            cells[i] = '"' + cell.replace('"', '""') + '"'
+    cells = [_quote("" if f is None else str(f)) for f in fields]
     if cells == [""]:
         return '""\r\n'
     return ",".join(cells) + "\r\n"
+
+
+def _cell_source(name: str) -> str:
+    """Field ``name``'s CSV cell, as ``csv_line`` writes its stored value: an expression on
+    the local ``name`` that holds the field."""
+    typ, optional = RECORD_FIELDS[name]
+    json_type = _STORED_AS.get(typ, (typ,))[0]
+    if get_origin(json_type) is dict:  # JSON text, quoted; a census's is memoised
+        cell = f"_object_cell({name})" if typ in _STORED_AS else f"_quote(_json_text({name}))"
+    else:  # text is quoted as it needs; a number's or a bool's never needs it
+        cell = f"_to_{typ.__name__}({name})" if typ in _STORED_AS else name
+        cell = f"_quote({cell})" if json_type is str else cell
+    return f"('' if {name} is None else {cell})" if optional else cell
+
+
+@lru_cache(maxsize=64)
+def _row_writer(columns: tuple[str, ...]) -> Any:
+    """``export_row(record)``: the record's CSV line of ``columns``, the bytes ``csv_line``
+    writes of their stored values; generated once per column list, like the codec."""
+    line = ",".join(f"{{{_cell_source(name)}}}" for name in columns)
+    if len(columns) == 1:  # a row of one empty cell is written ""
+        line = f"""(f"{line}" or '""') + '\\r\\n'"""
+    else:
+        line = f'f"{line}\\r\\n"'
+    source = [
+        "def export_row(r):",
+        *(f"    {name} = r.{name}" for name in dict.fromkeys(columns)),  # a repeat is read once
+        f"    return {line}",
+    ]
+    return _compile("\n".join(source), "export_row")
 
 
 _RANGE_OPS = {"ge": ge, "gt": gt, "le": le, "lt": lt}
@@ -374,7 +419,7 @@ class JobStore:
                 if not line.endswith(b"\n"):  # a torn final append
                     self._torn_at = fh.tell() - len(line)
                     break
-                if line.strip():
+                if not line.isspace():
                     self._load(line, lineno)
 
     def _load(self, line: bytes, lineno: int) -> None:
@@ -458,7 +503,7 @@ class JobStore:
         """Equality / range filtering with stable (submitted_at, job_id) order."""
         tests = [_predicate(k, v) for k, v in filters.items()]
         hits = [r for r in filter(None, self._records.values()) if all(t(r) for t in tests)]
-        hits.sort(key=lambda r: (r.submitted_at, r.job_id))
+        hits.sort(key=attrgetter("submitted_at", "job_id"))
         return hits
 
     def export_csv(
@@ -469,14 +514,16 @@ class JobStore:
         **filters: Any,
     ) -> int:
         """Write matching records as RFC-4180 CSV; returns the row count."""
-        cols = list(columns) if columns is not None else list(RECORD_FIELDS)
+        cols = tuple(columns) if columns is not None else tuple(RECORD_FIELDS)
+        if not cols:
+            raise StoreError("export needs at least one column")
         for c in cols:
             if c not in RECORD_FIELDS:
                 raise StoreError(f"unknown export column {c!r}")
         rows = self.query(**filters)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_line(cols))
-            fh.writelines(csv_line([_export_cell(getattr(r, c)) for c in cols]) for r in rows)
+            fh.writelines(map(_row_writer(cols), rows))
         return len(rows)
 
 

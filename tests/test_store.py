@@ -505,6 +505,14 @@ def test_export_csv_columns_and_filters(tmp_path):
         store.export_csv(out, columns=["job_id", "nope"])
 
 
+def test_export_csv_refuses_an_empty_column_list(tmp_path):
+    store = write_store(tmp_path / "log.jsonl", [make_record(0), processed_record(1)])
+    out = tmp_path / "dump.csv"
+    with pytest.raises(StoreError, match="^export needs at least one column$"):
+        store.export_csv(out, columns=[])
+    assert not out.exists()
+
+
 def test_empty_store(tmp_path):
     store = JobStore(tmp_path / "fresh.jsonl")
     assert len(store) == 0
