@@ -215,14 +215,18 @@ def _table6(records: list[JobRecord]) -> _Table:
     return header, rows
 
 
-# report kind -> builder returning (header, rows)
+# the record fields read by the reports of one row per job, and of one row per group
+_BY_JOB = ("status", "qubits", "cloud", "target", "fidelity", "submitted_at", "job_id")
+_BY_GROUP = ("status", "qubits", "cloud", "target", "fidelity", "cost")
+
+# report kind -> (builder returning (header, rows), the record fields it reads)
 _REPORTS = {
-    "fidelity_vs_qubits": _fidelity_vs_qubits,
-    "fidelity_vs_time": _fidelity_vs_time,
-    "cost_vs_fidelity": _cost_vs_fidelity,
-    "availability": _availability,
-    "queue_prediction": _queue_prediction,
-    "table6": _table6,
+    "fidelity_vs_qubits": (_fidelity_vs_qubits, _BY_JOB),
+    "fidelity_vs_time": (_fidelity_vs_time, _BY_JOB),
+    "cost_vs_fidelity": (_cost_vs_fidelity, _BY_GROUP),
+    "availability": (_availability, ("target", "cloud", "status")),
+    "queue_prediction": (_queue_prediction, ("job_id", "predicted_wait", "actual_wait")),
+    "table6": (_table6, _BY_GROUP),
 }
 
 REPORT_KINDS = tuple(_REPORTS)
@@ -232,7 +236,7 @@ def write_report(kind: str, records: list[JobRecord], out_path: str) -> int:
     """Write one CSV data file; returns the number of data rows."""
     if kind not in _REPORTS:
         raise ValueError(f"unknown report kind {kind!r}")
-    header, rows = _REPORTS[kind](records)
+    header, rows = _REPORTS[kind][0](records)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_line(header))
         fh.writelines(map(csv_line, rows))

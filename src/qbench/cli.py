@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .analysis import REPORT_KINDS, benchmark_fidelity, write_report
+from .analysis import _REPORTS, REPORT_KINDS, benchmark_fidelity, write_report
 from .circuit import build_benchmark, random_input
 from .costing import Money
 from .providers import (
@@ -43,7 +43,15 @@ from .providers import (
 )
 from .rng import derive_seed
 from .simulator import GlobalDepolarizing
-from .store import RECORD_FIELDS, JobRecord, JobStore, StoreError, _IdStore, classify_success
+from .store import (
+    RECORD_FIELDS,
+    JobRecord,
+    JobStore,
+    StoreError,
+    _IdStore,
+    _RowStore,
+    classify_success,
+)
 
 DEFAULT_SEED = 20240917
 SUBMIT_SPACING = 300  # seconds between consecutive submissions in a sweep
@@ -334,12 +342,13 @@ def _resolve_store(flag: str | None, config_value: str | None = None) -> str:
     return flag or config_value or os.environ.get("QBENCH_STORE") or "qbench_jobs.jsonl"
 
 
-def _open_store(flag: str | None) -> JobStore:
-    """The store a read-only command reads; a missing one is an error, never created."""
+def _open_store(flag: str | None, fields: Iterable[str]) -> JobStore:
+    """The store a read-only command reads, holding of each record only the ``fields``
+    the command reads; a missing one is an error, never created."""
     path = _resolve_store(flag)
     if not os.path.isfile(path):
         raise StoreError(f"no store file at {path}")
-    return JobStore(path)
+    return _RowStore(path, fields)
 
 
 def _emit(args, summary: dict, lines: list[str]) -> None:
@@ -347,16 +356,18 @@ def _emit(args, summary: dict, lines: list[str]) -> None:
     print(json.dumps(summary, sort_keys=True) if args.json else "\n".join(lines))
 
 
-def _write_out(args, summary: dict, write) -> int:
+def _write_out(args, summary: dict, write, fields: Iterable[str], filters: dict) -> int:
     """Run ``write(store, path)`` into ``--out`` and report its row count.
 
     ``summary`` holds the command's name fields, which also label the exit-4
     message.  An ``--out`` that is the store file, under any name, is refused
     before anything is written.  Rows go to a new file beside ``--out`` (or its
     symlink's target) that replaces it only if it holds any, so an exit 4 or
-    a failed write leaves an existing ``--out`` as it was.
+    a failed write leaves an existing ``--out`` as it was.  The store holds the
+    ``fields`` that ``write`` reads and those the ``filters`` it queries with test.
     """
-    store = _open_store(args.store)
+    tested = (key.partition("__")[0] for key in filters)
+    store = _open_store(args.store, [*fields, *tested])
     if os.path.exists(args.out) and os.path.samefile(args.out, store.path):
         raise ConfigError(f"--out {args.out} is the store {store.path}")
     real = os.path.realpath(args.out)
@@ -389,7 +400,7 @@ def cmd_campaign_run(args) -> int:
 
 
 def cmd_jobs_poll(args) -> int:
-    store = _open_store(args.store)
+    store = _open_store(args.store, ("target", "status"))
     counts = sorted(Counter((r.target, r.status.value) for r in store.records()).items())
     summary = {
         "command": "jobs poll",
@@ -404,14 +415,15 @@ def cmd_jobs_poll(args) -> int:
 def cmd_report(args) -> int:
     filters = _parse_filters(args.filter)
     write = lambda store, out: write_report(args.kind, store.query(**filters), out)
-    return _write_out(args, {"command": "report", "kind": args.kind}, write)
+    summary = {"command": "report", "kind": args.kind}
+    return _write_out(args, summary, write, _REPORTS[args.kind][1], filters)
 
 
 def cmd_store_export(args) -> int:
     columns = [c.strip() for c in args.columns.split(",")] if args.columns else None
     filters = _parse_filters(args.filter)
     write = lambda store, out: store.export_csv(out, columns=columns, **filters)
-    return _write_out(args, {"command": "store export"}, write)
+    return _write_out(args, {"command": "store export"}, write, columns or RECORD_FIELDS, filters)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,13 @@ writes; the open itself never writes, so a read-only store opens even with a
 torn tail, and a read cannot cut a line another process is writing.  The
 records are kept in one map from job_id to record, in append order, rebuilt on
 every open.  A campaign writes through ``_IdStore``, which checks each line
-and holds no record, only its id.  A store that appends holds its file open,
+and holds no record, only its id; the CLI's reads go through ``_RowStore``,
+which checks each line and holds a row of the fields its command reads.  A
+record is slotted (no ``__dict__``: ``to_dict`` or ``dataclasses.asdict``
+gives its fields, ``vars`` does not), and a read holds equal text of every
+text field but the job_id as one interned object.  A line is UTF-8, read as
+``json.loads`` reads bytes: one leading BOM is skipped, and a NUL-led line
+(UTF-16 or UTF-32) is corrupt.  A store that appends holds its file open,
 in append mode, from its first ``append`` until ``close()`` or the end of its
 ``with`` block, and flushes each line as it writes it; a store that only reads
 never opens its file to write.  An append the operating system refuses raises
@@ -26,7 +32,8 @@ the way ``dataclasses`` builds ``__init__``.  Equal stored censuses and costs
 decode, after their checks, to one shared object.  Reads check every value
 against its declared type (the keys of an object field too), then the rules
 across fields (``_validate``, which ``validate`` runs too).  ``_check`` is that
-run without the record: it returns the job_id.  ``append`` reads each record's
+run without the record: it returns the job_id; a row's ``from_dict`` is that run
+holding some fields.  ``append`` reads each record's
 stored form the same way, so it refuses what the open refuses (the open adds
 ``path:line``), and ``JobStore`` holds each field as its declared type.
 Timestamps are integer seconds from the campaign epoch.  Query supports
@@ -51,7 +58,9 @@ import inspect
 import json
 import math
 import os
+import sys
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, ge, gt, le, lt
@@ -75,12 +84,14 @@ class StoreError(Exception):
     """Raised for malformed stores, duplicate ids, or invalid records."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class JobRecord:
     """One submission attempt, terminal or not.
 
     ``to_dict`` and ``from_dict``, the store codec, are generated from these
-    annotations once the class is made (see ``_compile``).
+    annotations once the class is made (see ``_compile``).  A record is slotted:
+    it has no ``__dict__``, so ``to_dict`` or ``dataclasses.asdict`` gives its
+    fields, not ``vars``.
     """
 
     job_id: str
@@ -192,6 +203,9 @@ def _flat(value: Any) -> Any:
 
 # the one JSON encoding of the store: record lines, and counts and census cells in CSV
 _json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the one JSON decoding of a store line: a value, then JSON whitespace (space, tab, LF, CR)
+_json_value = json.JSONDecoder().raw_decode
+_json_space = json.decoder.WHITESPACE.match
 
 
 def _quote(cell: str) -> str:
@@ -264,10 +278,27 @@ def _field_checks(name: str) -> list[str]:
     return lines + ["    " + line for line in checks]
 
 
-def _decoder_source(decode: bool) -> str:
-    """``from_dict``, or ``_check`` (it returns the job_id): every check of the format, unrolled."""
+# the held text that equal records share: every text field but job_id, the store's key
+_SHARED_TEXT = {name for name, (typ, _) in RECORD_FIELDS.items() if typ is str} - {"job_id"}
+
+
+def _held(name: str) -> str:
+    """Field ``name`` as a read holds it: shared text is interned once its checks pass."""
+    if name not in _SHARED_TEXT:
+        return name
+    if RECORD_FIELDS[name][1]:  # optional
+        return f"None if {name} is None else _intern({name})"
+    return f"_intern({name})"
+
+
+def _decoder_source(fields: tuple[str, ...]) -> str:
+    """A read of a stored object, every check of the format unrolled, holding ``fields``.
+
+    All of them make ``from_dict``, some a row's ``from_dict`` (each returns ``cls``
+    of its fields), and none ``_check``, which returns the job_id.
+    """
     lines = [
-        "def from_dict(cls, obj):" if decode else "def _check(obj):",
+        "def from_dict(cls, obj):" if fields else "def _check(obj):",
         '    """Read a stored object; raises StoreError for anything ``append`` refuses.',
         "",
         "    The one check of the format: the open runs it on every line read, and",
@@ -282,7 +313,7 @@ def _decoder_source(decode: bool) -> str:
         lines += [f"    {name} = obj[{name!r}]", *_field_checks(name)]
     lines += [
         f"    _validate({', '.join(_VALIDATED)})",
-        f"    return cls({', '.join(RECORD_FIELDS)})" if decode else "    return job_id",
+        f"    return cls({', '.join(map(_held, fields))})" if fields else "    return job_id",
     ]
     return "\n".join(lines)
 
@@ -295,6 +326,7 @@ def _reader_source(name: str) -> str:
 def _compile(source: str, qualname: str) -> Any:
     """The function ``source`` defines, named ``qualname``, with the store's names in scope."""
     scope: dict[str, Any] = {"StoreError": StoreError, "_flat": _flat, "_validate": _validate}
+    scope["_intern"] = sys.intern  # mortal: a shared text is freed with its last holder
     scope |= {"_json_text": _json_text, "_quote": _quote, "_object_cell": _object_cell}
     scope["_FIELDS"] = RECORD_FIELDS.keys()
     for typ, (_, to_json, from_json) in _STORED_AS.items():
@@ -308,8 +340,10 @@ def _compile(source: str, qualname: str) -> Any:
 
 # built once, at import, from the annotations, the way dataclasses builds __init__
 JobRecord.to_dict = _compile(_encoder_source(), "JobRecord.to_dict")
-JobRecord.from_dict = classmethod(_compile(_decoder_source(True), "JobRecord.from_dict"))
-_check = _compile(_decoder_source(False), "_check")
+JobRecord.from_dict = classmethod(
+    _compile(_decoder_source(tuple(RECORD_FIELDS)), "JobRecord.from_dict")
+)
+_check = _compile(_decoder_source(()), "_check")
 # field name -> a filter value checked and decoded as ``from_dict`` reads that field
 _READERS = {name: _compile(_reader_source(name), f"read_{name}") for name in RECORD_FIELDS}
 
@@ -424,7 +458,14 @@ class JobStore:
 
     def _load(self, line: bytes, lineno: int) -> None:
         try:
-            job_id, held = self._read(json.loads(line))
+            # as json.loads reads UTF-8 bytes, less its per-call encoding sniff: it
+            # skips one leading BOM and passes encoded surrogates, so this does too
+            text = line.decode("utf-8", "surrogatepass")
+            start = _json_space(text, 1 if text.startswith("\ufeff") else 0).end()
+            obj, end = _json_value(text, start)
+            if _json_space(text, end).end() != len(text):
+                raise ValueError("extra data after the record")
+            job_id, held = self._read(obj)
         except UnicodeDecodeError as exc:
             raise StoreError(f"{self.path}:{lineno}: record line is not UTF-8") from exc
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, a too-long int, deep nesting
@@ -514,6 +555,8 @@ class JobStore:
         **filters: Any,
     ) -> int:
         """Write matching records as RFC-4180 CSV; returns the row count."""
+        if isinstance(columns, str):  # not one name a character
+            raise StoreError(f"export columns take a list of column names, not {columns!r}")
         cols = tuple(columns) if columns is not None else tuple(RECORD_FIELDS)
         if not cols:
             raise StoreError("export needs at least one column")
@@ -540,3 +583,26 @@ class _IdStore(JobStore):
 
     def _read(self, obj: Any) -> tuple[str, None]:
         return _check(obj), None  # the id is taken; no record is held
+
+
+class _RowStore(JobStore):
+    """A ``JobStore`` that holds, of each record, a row of the ``fields`` a reader reads.
+
+    Its ``_read`` runs ``from_dict``'s checks on each line, so it opens or refuses
+    a store as ``JobStore`` does, then holds a named tuple of ``fields`` with the
+    job_id and submitted_at, which ``query`` sorts by.  Names that are no field are
+    left for ``query`` or ``export_csv`` to refuse.  Its rows stand in for records
+    wherever only those fields are read: ``query``, ``export_csv`` of held columns,
+    and the reports.
+    """
+
+    def __init__(self, path: str | os.PathLike[str], fields: Iterable[str]):
+        held = {"job_id", "submitted_at", *fields}
+        row = namedtuple("Row", [name for name in RECORD_FIELDS if name in held])
+        row.from_dict = classmethod(_compile(_decoder_source(row._fields), "Row.from_dict"))
+        self._from_dict = row.from_dict
+        super().__init__(path)
+
+    def _read(self, obj: Any) -> tuple[str, Any]:
+        row = self._from_dict(obj)
+        return row.job_id, row

@@ -82,7 +82,9 @@ def _with_earlier_decoders(source, qualname):
     return fn
 
 
-oracle_from_dict = partial(_with_earlier_decoders(_decoder_source(True), "from_dict"), JobRecord)
+oracle_from_dict = partial(
+    _with_earlier_decoders(_decoder_source(tuple(RECORD_FIELDS)), "from_dict"), JobRecord
+)
 oracle_read_census = _with_earlier_decoders(_reader_source("census"), "read_census")
 
 
