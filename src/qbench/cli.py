@@ -48,7 +48,6 @@ from .store import (
     JobRecord,
     JobStore,
     StoreError,
-    _IdStore,
     _RowStore,
     classify_success,
 )
@@ -250,10 +249,11 @@ def run_campaign(cfg: CampaignConfig, store_path: str) -> dict:
     """Submit, poll, bill and store every job of ``cfg``; returns the run summary.
 
     Each job's handle and record are dropped once its line is written: the
-    store keeps job ids and each provider the execution spans, so memory
-    stays flat however many days the campaign runs.
+    store, a ``_RowStore`` of no fields (one reader per field set, checking
+    every line), keeps job ids and each provider the execution spans, so
+    memory stays flat however many days the campaign runs.
     """
-    with _IdStore(store_path) as store:  # closed on every exit, exceptions included
+    with _RowStore(store_path, ()) as store:  # closed on every exit, exceptions included
         providers = {p.name: SimProvider(p) for p in cfg.targets}
         spent = {p.name: Money(0) for p in cfg.targets}
         statuses: dict[str, Counter[str]] = {p.name: Counter() for p in cfg.targets}

@@ -38,6 +38,10 @@ class Money:
 
     micros: int
 
+    def __post_init__(self) -> None:
+        if type(self.micros) is not int:  # a float is not exact, and a bool is no amount
+            raise ValueError(f"Money holds integer micro-USD, not {self.micros!r}")
+
     @classmethod
     def from_usd(cls, amount: str | int | float | Decimal) -> "Money":
         """Parse a USD amount; rejects anything not finite or finer than a micro-dollar."""

@@ -8,9 +8,9 @@ its newline is skipped, and the first ``append`` cuts it away before it
 writes; the open itself never writes, so a read-only store opens even with a
 torn tail, and a read cannot cut a line another process is writing.  The
 records are kept in one map from job_id to record, in append order, rebuilt on
-every open.  A campaign writes through ``_IdStore``, which checks each line
-and holds no record, only its id; the CLI's reads go through ``_RowStore``,
-which checks each line and holds a row of the fields its command reads.  A
+every open.  One reader per field set checks each line: a ``JobStore`` holds
+the record, a ``_RowStore`` (the CLI's reads) a row of the fields its command
+reads, and a ``_RowStore`` of no fields (a campaign's writes) only the id.  A
 record is slotted (no ``__dict__``: ``to_dict`` or ``dataclasses.asdict``
 gives its fields, ``vars`` does not), and a read holds equal text of every
 text field but the job_id as one interned object.  A line is UTF-8, read as
@@ -27,13 +27,13 @@ name as its declared type, except the three types ``_STORED_AS`` maps to JSON
 (a ``JobStatus`` as its text, ``Money`` as integer micro-USD under ``cost``, a
 ``GateCensus`` as ``{n_1q, n_2q, total}``).  The codec is generated once, at
 import, from the annotations and ``_STORED_AS``: ``to_dict`` is one dict
-display and ``from_dict`` one unrolled run of checks, each built with ``exec``
+display and each reader one unrolled run of checks, each built with ``exec``
 the way ``dataclasses`` builds ``__init__``.  Equal stored censuses and costs
 decode, after their checks, to one shared object.  Reads check every value
 against its declared type (the keys of an object field too), then the rules
-across fields (``_validate``, which ``validate`` runs too).  ``_check`` is that
-run without the record: it returns the job_id; a row's ``from_dict`` is that run
-holding some fields.  ``append`` reads each record's
+across fields (``_validate``, which ``validate`` runs too).  That is one
+reader per field set, ``read(obj) -> (job_id, held)``, compiled once per
+field tuple; ``from_dict`` returns the record.  ``append`` reads each record's
 stored form the same way, so it refuses what the open refuses (the open adds
 ``path:line``), and ``JobStore`` holds each field as its declared type.
 Timestamps are integer seconds from the campaign epoch.  Query supports
@@ -88,8 +88,8 @@ class StoreError(Exception):
 class JobRecord:
     """One submission attempt, terminal or not.
 
-    ``to_dict`` and ``from_dict``, the store codec, are generated from these
-    annotations once the class is made (see ``_compile``).  A record is slotted:
+    ``to_dict`` and the store's reader, which ``from_dict`` runs, are generated from
+    these annotations once the class is made (see ``_compile``).  A record is slotted:
     it has no ``__dict__``, so ``to_dict`` or ``dataclasses.asdict`` gives its
     fields, not ``vars``.
     """
@@ -111,6 +111,11 @@ class JobRecord:
     fidelity: float | None = None
     success: bool | None = None
     error_message: str | None = None
+
+    @classmethod
+    def from_dict(cls, obj: Any) -> JobRecord:
+        """The record stored as ``obj``; raises StoreError for anything ``append`` refuses."""
+        return JobStore._read(obj)[1]
 
     def validate(self) -> None:
         _validate(*attrgetter(*_VALIDATED)(self))
@@ -292,13 +297,12 @@ def _held(name: str) -> str:
 
 
 def _decoder_source(fields: tuple[str, ...]) -> str:
-    """A read of a stored object, every check of the format unrolled, holding ``fields``.
+    """``read(obj) -> (job_id, held)``: a stored object, every check of the format unrolled.
 
-    All of them make ``from_dict``, some a row's ``from_dict`` (each returns ``cls``
-    of its fields), and none ``_check``, which returns the job_id.
+    ``held`` is ``_Held`` of ``fields``, or None when there are none.
     """
     lines = [
-        "def from_dict(cls, obj):" if fields else "def _check(obj):",
+        "def read(obj):",
         '    """Read a stored object; raises StoreError for anything ``append`` refuses.',
         "",
         "    The one check of the format: the open runs it on every line read, and",
@@ -311,10 +315,8 @@ def _decoder_source(fields: tuple[str, ...]) -> str:
     ]
     for name in RECORD_FIELDS:
         lines += [f"    {name} = obj[{name!r}]", *_field_checks(name)]
-    lines += [
-        f"    _validate({', '.join(_VALIDATED)})",
-        f"    return cls({', '.join(map(_held, fields))})" if fields else "    return job_id",
-    ]
+    held = f"_Held({', '.join(map(_held, fields))})" if fields else "None"
+    lines += [f"    _validate({', '.join(_VALIDATED)})", f"    return job_id, {held}"]
     return "\n".join(lines)
 
 
@@ -323,12 +325,14 @@ def _reader_source(name: str) -> str:
     return "\n".join([f"def read_{name}({name}):", *_field_checks(name), f"    return {name}"])
 
 
-def _compile(source: str, qualname: str) -> Any:
-    """The function ``source`` defines, named ``qualname``, with the store's names in scope."""
+def _compile(source: str, qualname: str, **names: Any) -> Any:
+    """The function ``source`` defines, named ``qualname``, with the store's names and
+    ``names`` in scope."""
     scope: dict[str, Any] = {"StoreError": StoreError, "_flat": _flat, "_validate": _validate}
     scope["_intern"] = sys.intern  # mortal: a shared text is freed with its last holder
     scope |= {"_json_text": _json_text, "_quote": _quote, "_object_cell": _object_cell}
     scope["_FIELDS"] = RECORD_FIELDS.keys()
+    scope |= names
     for typ, (_, to_json, from_json) in _STORED_AS.items():
         held = typ.__name__
         scope |= {held: typ, f"_to_{held}": to_json, f"_from_{held}": from_json}
@@ -338,12 +342,19 @@ def _compile(source: str, qualname: str) -> Any:
     return fn
 
 
+@lru_cache(maxsize=64)
+def _reader(fields: tuple[str, ...]) -> Any:
+    """``_decoder_source(fields)``, compiled once per field tuple: the reader of every
+    field holds the record, of some a named tuple of them, and of none nothing."""
+    if fields == tuple(RECORD_FIELDS):
+        held = JobRecord
+    else:
+        held = namedtuple("Row", fields) if fields else None
+    return _compile(_decoder_source(fields), "read", _Held=held)
+
+
 # built once, at import, from the annotations, the way dataclasses builds __init__
 JobRecord.to_dict = _compile(_encoder_source(), "JobRecord.to_dict")
-JobRecord.from_dict = classmethod(
-    _compile(_decoder_source(tuple(RECORD_FIELDS)), "JobRecord.from_dict")
-)
-_check = _compile(_decoder_source(()), "_check")
 # field name -> a filter value checked and decoded as ``from_dict`` reads that field
 _READERS = {name: _compile(_reader_source(name), f"read_{name}") for name in RECORD_FIELDS}
 
@@ -476,13 +487,9 @@ class JobStore:
             raise StoreError(f"{self.path}:{lineno}: duplicate job_id {job_id}")
         self._records[job_id] = held
 
-    def _read(self, obj: Any) -> tuple[str, Any]:
-        """A stored object's job_id and what the store holds under it (the record); may refuse.
-
-        The one hook a subclass overrides: the open and ``append`` read each line through it.
-        """
-        record = JobRecord.from_dict(obj)
-        return record.job_id, record
+    # a stored object's job_id and what the store holds under it (the record); may refuse.
+    # The open and ``append`` read each line through it; a ``_RowStore`` picks another.
+    _read = staticmethod(_reader(tuple(RECORD_FIELDS)))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -570,39 +577,23 @@ class JobStore:
         return len(rows)
 
 
-class _IdStore(JobStore):
-    """A ``JobStore`` that keeps the job ids of its records, not the records.
-
-    Its ``_read`` checks each line it opens, and each record's stored form it
-    appends, with ``_check``: ``from_dict``'s checks, without building the
-    record.  So a writer gets ``JobStore``'s bytes and ``path:line`` errors,
-    ``len`` and ``in`` answer as usual, and its memory grows by one id per
-    record.  It holds no records: ``get`` raises ``StoreError``; it lists,
-    queries and exports none.
-    """
-
-    def _read(self, obj: Any) -> tuple[str, None]:
-        return _check(obj), None  # the id is taken; no record is held
-
-
 class _RowStore(JobStore):
     """A ``JobStore`` that holds, of each record, a row of the ``fields`` a reader reads.
 
-    Its ``_read`` runs ``from_dict``'s checks on each line, so it opens or refuses
-    a store as ``JobStore`` does, then holds a named tuple of ``fields`` with the
-    job_id and submitted_at, which ``query`` sorts by.  Names that are no field are
-    left for ``query`` or ``export_csv`` to refuse.  Its rows stand in for records
-    wherever only those fields are read: ``query``, ``export_csv`` of held columns,
-    and the reports.
+    It reads each line with the one reader of its field set, which runs every check
+    ``JobStore``'s runs, so it opens or refuses a store, and appends, as ``JobStore``
+    does.  Of some fields it holds a named tuple of them with the job_id and
+    submitted_at, which ``query`` sorts by; names that are no field are left for
+    ``query`` or ``export_csv`` to refuse.  Its rows stand in for records wherever
+    only those fields are read: ``query``, ``export_csv`` of held columns, and the
+    reports.  Of no fields it holds None per id, which a campaign writes through:
+    ``len`` and ``in`` answer as usual, ``get`` raises ``StoreError``, and it lists,
+    queries and exports none.
     """
 
     def __init__(self, path: str | os.PathLike[str], fields: Iterable[str]):
-        held = {"job_id", "submitted_at", *fields}
-        row = namedtuple("Row", [name for name in RECORD_FIELDS if name in held])
-        row.from_dict = classmethod(_compile(_decoder_source(row._fields), "Row.from_dict"))
-        self._from_dict = row.from_dict
+        held = set(fields)
+        if held:
+            held |= {"job_id", "submitted_at"}
+        self._read = _reader(tuple(name for name in RECORD_FIELDS if name in held))
         super().__init__(path)
-
-    def _read(self, obj: Any) -> tuple[str, Any]:
-        row = self._from_dict(obj)
-        return row.job_id, row

@@ -1,4 +1,5 @@
 import decimal
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -56,6 +57,12 @@ class TestMoney:
     def test_int_only_multiplication(self):
         with pytest.raises(TypeError):
             Money(100) * 2.5
+
+    @pytest.mark.parametrize("micros", [1.5, 2.0, True, False, "3", None, Decimal(3), Fraction(3)])
+    def test_micros_must_be_an_int(self, micros):
+        # a float once passed until str() failed on it, and True printed $0.00
+        with pytest.raises(ValueError, match=re.escape(f"not {micros!r}")):
+            Money(micros)
 
     @pytest.mark.parametrize("factor", [0.5, Decimal("0.5"), "1/2", None])
     def test_scale_takes_only_an_exact_rational(self, factor):

@@ -15,7 +15,6 @@ lambda keys and count by hand.
 
 import copy
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -75,16 +74,22 @@ def oracle_census(obj):
     return census
 
 
-def _with_earlier_decoders(source, qualname):
+def _with_earlier_decoders(source, qualname, **names):
     """The store's generated ``source``, decoding each census and cost anew."""
-    fn = _compile(source, qualname)
+    fn = _compile(source, qualname, **names)
     fn.__globals__.update(_from_GateCensus=oracle_census, _from_Money=Money)
     return fn
 
 
-oracle_from_dict = partial(
-    _with_earlier_decoders(_decoder_source(tuple(RECORD_FIELDS)), "from_dict"), JobRecord
+oracle_read = _with_earlier_decoders(
+    _decoder_source(tuple(RECORD_FIELDS)), "read", _Held=JobRecord
 )
+
+
+def oracle_from_dict(obj):
+    return oracle_read(obj)[1]
+
+
 oracle_read_census = _with_earlier_decoders(_reader_source("census"), "read_census")
 
 

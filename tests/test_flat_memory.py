@@ -1,7 +1,9 @@
 """A campaign holds nothing of the jobs it has written.
 
-``run_campaign`` writes through ``store._IdStore``, which keeps job ids, not
-records, and each provider keeps a job's execution span, not its handle.  So
+``run_campaign`` writes through a ``store._RowStore`` of no fields, which keeps
+job ids, not records, with the one reader of that field set: compiled once per
+process, not per campaign.  Each provider keeps a job's execution span, not its
+handle.  So
 once job k's line is written, its ``JobRecord`` and ``JobHandle`` (with the
 circuit, census and counts they hold) must be freed before job k+1 is
 appended, and the campaign's memory does not grow with the records.
@@ -17,10 +19,11 @@ import weakref
 
 import pytest
 
+from qbench import store as store_module
 from qbench.circuit import build_benchmark, random_input
 from qbench.cli import load_config, run_campaign
 from qbench.providers import SimProvider
-from qbench.store import JobStore, StoreError, _IdStore
+from qbench.store import RECORD_FIELDS, JobStore, StoreError, _RowStore
 from test_acceptance import CAMPAIGN_FIXTURE
 from test_store import make_record, processed_record
 
@@ -57,7 +60,7 @@ def _mixed_records():
 
 
 def test_id_store_writes_what_job_store_writes_and_keeps_only_ids(tmp_path):
-    with JobStore(tmp_path / "kept.jsonl") as kept, _IdStore(tmp_path / "ids.jsonl") as ids:
+    with JobStore(tmp_path / "kept.jsonl") as kept, _RowStore(tmp_path / "ids.jsonl", ()) as ids:
         for record in _mixed_records():
             kept.append(record)
             ids.append(record)
@@ -67,7 +70,7 @@ def test_id_store_writes_what_job_store_writes_and_keeps_only_ids(tmp_path):
         with pytest.raises(StoreError, match="duplicate job_id job-0001"):
             ids.append(processed_record(1))
 
-    reopened = _IdStore(tmp_path / "kept.jsonl")
+    reopened = _RowStore(tmp_path / "kept.jsonl", ())
     assert len(reopened) == 4 and "job-0002" in reopened
     assert set(reopened._records.values()) == {None}
     with pytest.raises(StoreError, match="duplicate job_id job-0000"):
@@ -75,12 +78,36 @@ def test_id_store_writes_what_job_store_writes_and_keeps_only_ids(tmp_path):
 
 
 def test_id_store_get_of_a_held_id_is_a_store_error(tmp_path):
-    with _IdStore(tmp_path / "ids.jsonl") as ids:
+    with _RowStore(tmp_path / "ids.jsonl", ()) as ids:
         ids.append(make_record(0))
     assert "job-0000" in ids
     with pytest.raises(StoreError, match="no record 'job-0000'"):
         ids.get("job-0000")
     assert list(ids.records()) == [] and ids.query() == []
+
+
+def test_stores_of_one_field_set_share_a_reader_and_a_second_campaign_compiles_none(
+    tmp_path, monkeypatch
+):
+    first, second = _RowStore(tmp_path / "a.jsonl", ()), _RowStore(tmp_path / "b.jsonl", [])
+    assert first._read is second._read
+    # a field set is read in field order, plus what the query sorts by
+    rows = _RowStore(tmp_path / "a.jsonl", ["cost", "target"])
+    again = _RowStore(tmp_path / "b.jsonl", ("target", "submitted_at", "cost"))
+    assert rows._read is again._read is not first._read
+    assert _RowStore(tmp_path / "a.jsonl", RECORD_FIELDS)._read is JobStore._read
+
+    config = tmp_path / "c.ini"
+    config.write_text(CAMPAIGN_FIXTURE)
+    cfg = load_config(str(config))
+    run_campaign(cfg, str(tmp_path / "run-1.jsonl"))
+    compiled, compile_ = [], store_module._compile
+    monkeypatch.setattr(
+        store_module, "_compile", lambda *args, **kw: compiled.append(args) or compile_(*args, **kw)
+    )
+    run_campaign(cfg, str(tmp_path / "run-2.jsonl"))
+    assert compiled == []
+    assert (tmp_path / "run-2.jsonl").read_bytes() == (tmp_path / "run-1.jsonl").read_bytes()
 
 
 def test_building_benchmarks_leaves_no_blocks_behind():

@@ -6,9 +6,11 @@ codec: one line per field, each type's stored form spelled out.
 before the generated one: a walk over the annotations at every call, through
 ``_codec`` and ``_decode_object``.  The generated codec must write the same
 objects as both, read them back to equal records, and refuse what the walk
-refuses with the same text.  The campaign's ``_IdStore`` reads through
-``_check``, the same checks without the record: it must refuse what
-``JobStore`` refuses, in the same words, and build no record.
+refuses with the same text.  There is one store reader per field set: the
+campaign's ``_RowStore`` of no fields runs the same checks without building
+the record, a report's holds a row, and every field's holds the record.  Each
+must refuse what ``JobStore`` refuses, in the same words, and only the reader
+of every field may build a record.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qbench.analysis import _REPORTS
 from qbench.circuit import GateCensus
 from qbench.costing import Money
 from qbench.providers import JobStatus
@@ -33,10 +36,10 @@ from qbench.store import (
     JobRecord,
     JobStore,
     StoreError,
-    _IdStore,
+    _RowStore,
 )
 from test_report_oracle import every_status_records
-from test_store import _random_fixture, make_record, processed_record, write_store
+from test_store import _forged_money, _random_fixture, make_record, processed_record, write_store
 
 
 def oracle_to_dict(r):
@@ -218,7 +221,8 @@ CENSUSES = st.builds(GateCensus, st.integers(0, 10**4), st.integers(0, 10**4))
 ANY_VALUE = st.one_of(
     JSON_VALUES,
     st.floats(),
-    st.builds(Money, st.integers(-10, 10**8) | st.floats(0, 10)),
+    st.builds(Money, st.integers(-10, 10**8)),
+    st.builds(_forged_money, st.floats(0, 10)),  # a float past Money's own check
     st.sampled_from(list(JobStatus)),
     CENSUSES,
     st.dictionaries(st.integers(0, 64) | TEXT, st.integers(0, 500), max_size=3),
@@ -411,25 +415,31 @@ def scratch_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("parity")
 
 
+# the campaign's id store, one report's row store, and a row store of every field
+ROW_FIELD_SETS = [(), _REPORTS["table6"][1], tuple(RECORD_FIELDS)]
+
+
 @CODEC_SETTINGS
 @given(records(), st.sampled_from(sorted(CORRUPTIONS)), st.data())
 def test_id_store_refuses_as_the_job_store_does(scratch_dir, record, kind, data):
-    """The id store's check-only read refuses what ``JobStore``'s decode refuses, in
-    the same words, on append and on the open of a one-line file; it builds no record."""
+    """Each row store's read refuses what ``JobStore``'s refuses, in the same words, on
+    append and on the open of a one-line file; only the one of every field builds a record."""
     obj = CORRUPTIONS[kind](record.to_dict(), data.draw)
     path = scratch_dir / "log.jsonl"
     appended = _appended(JobStore, path, obj)
-    with records_built() as built:
-        assert _appended(_IdStore, path, obj) == appended
-    assert built == []
+    for fields in ROW_FIELD_SETS:
+        with records_built() as built:
+            assert _appended(partial(_RowStore, fields=fields), path, obj) == appended
+        assert built == [] or fields == tuple(RECORD_FIELDS)
 
     line = _encoded(obj)
     assume(type(line) is str)  # a line JSON cannot write is refused by append alone
     path.write_text(line + "\n")
     opened = _opened(JobStore, path)
-    with records_built() as built:
-        assert _opened(_IdStore, path) == opened
-    assert built == []
+    for fields in ROW_FIELD_SETS:
+        with records_built() as built:
+            assert _opened(partial(_RowStore, fields=fields), path) == opened
+        assert built == [] or fields == tuple(RECORD_FIELDS)
     if opened[0] == "refused":
         assert opened[1].startswith(f"{path}:1: ")
 
@@ -439,10 +449,10 @@ def test_id_store_reads_and_writes_without_building_a_record(fixture, tmp_path):
     records = FIXTURES[fixture]()
     kept = write_store(tmp_path / "kept.jsonl", records)
     with records_built() as built:
-        with _IdStore(tmp_path / "ids.jsonl") as ids:
+        with _RowStore(tmp_path / "ids.jsonl", ()) as ids:
             for r in records:
                 ids.append(r)
-        reopened = _IdStore(tmp_path / "kept.jsonl")
+        reopened = _RowStore(tmp_path / "kept.jsonl", ())
     assert built == []
     assert (tmp_path / "ids.jsonl").read_bytes() == (tmp_path / "kept.jsonl").read_bytes()
     assert list(ids._records) == list(reopened._records) == list(kept._records)

@@ -193,6 +193,13 @@ def test_append_validates(tmp_path):
     assert len(store) == 0
 
 
+def _forged_money(micros):
+    """A ``Money`` holding ``micros`` past the check its constructor makes."""
+    money = object.__new__(Money)
+    object.__setattr__(money, "micros", micros)
+    return money
+
+
 # records whose stored form the open refuses; most pass their own validate()
 APPEND_REFUSES = {
     # a job that never ran holds no result, not even one of the three
@@ -202,7 +209,7 @@ APPEND_REFUSES = {
     ),
     "bool-predicted-wait": make_record(0, predicted_wait=True),
     "int-cloud": make_record(0, cloud=5),
-    "float-cost": make_record(0, cost=Money(1.5)),
+    "float-cost": make_record(0, cost=_forged_money(1.5)),
     "float-census": make_record(0, census=GateCensus(1.0, 2.0)),
     "bool-count": processed_record(0, shots=1, counts={"0101": True}),
     # validate() skips its unavailable check for a status held as text
