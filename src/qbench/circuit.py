@@ -92,6 +92,10 @@ class GateCensus:
     n_1q: int
     n_2q: int
 
+    def __post_init__(self) -> None:
+        if self.n_1q < 0 or self.n_2q < 0:
+            raise ValueError(f"gate counts must be >= 0: {self}")
+
     @property
     def total(self) -> int:
         return self.n_1q + self.n_2q

@@ -54,6 +54,7 @@ from .store import (
 
 DEFAULT_SEED = 20240917
 SUBMIT_SPACING = 300  # seconds between consecutive submissions in a sweep
+MAX_SHOTS = 1_000_000  # a job's outcomes are sampled into one array: 8 MB at this bound
 
 
 class ConfigError(Exception):
@@ -70,6 +71,27 @@ class CampaignConfig:
     store: str | None
     budget_cap: Money | None
     targets: tuple[TargetProfile, ...]
+
+    def __post_init__(self) -> None:
+        shots, sweeps = self.shots, self.sweeps_per_day
+        if not all(type(v) is int for v in (shots, self.days, sweeps, self.seed)):
+            raise ConfigError("shots, days, sweeps_per_day and seed must be ints")
+        if shots < 1 or self.days < 1 or sweeps < 1 or DAY % sweeps:
+            raise ConfigError("shots/days/sweeps_per_day must be positive (sweeps divide a day)")
+        if shots > MAX_SHOTS:
+            raise ConfigError(f"shots = {shots} is more than MAX_SHOTS = {MAX_SHOTS}")
+        # a sweep's last slot must come before the next sweep's first, so every
+        # slot has its own clock and a store is written in (submitted_at, job_id) order
+        slots = len(self.targets) * len(self.qubits)
+        if (slots - 1) * SUBMIT_SPACING >= DAY // sweeps:
+            raise ConfigError(
+                f"sweeps_per_day = {sweeps} leaves {DAY // sweeps} s a sweep, too short for"
+                f" {slots} slots {SUBMIT_SPACING} s apart"
+            )
+        if self.budget_cap is not None and self.budget_cap.micros < 0:
+            raise ConfigError("budget_cap must be >= 0")
+        if not 0 <= self.seed < 1 << 64:  # rng folds a seed to 64 bits; wider ones would alias
+            raise ConfigError(f"seed {self.seed} is not in [0, 2**64)")
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -99,6 +121,8 @@ def _refuse_repeats(setting: str, items: Iterable) -> None:
 
 
 _CAMPAIGN_KEYS = {f.name for f in dataclasses.fields(CampaignConfig)} - {"targets"}
+# [campaign] integer key -> its value when the config leaves it out
+_INT_DEFAULTS = {"shots": 500, "days": 1, "sweeps_per_day": 1, "seed": DEFAULT_SEED}
 
 # queue override key -> QueueModel field
 _QUEUE_KEYS = {"queue_mu": "mu", "queue_sigma": "sigma", "queue_bias": "predictor_bias"}
@@ -155,10 +179,7 @@ def load_config(path: str) -> CampaignConfig:
     _check_names(parser, use)
     try:
         qubits = _parse_qubits(camp.get("qubits", "8..16:2"))
-        shots = camp.getint("shots", 500)
-        days = camp.getint("days", 1)
-        sweeps = camp.getint("sweeps_per_day", 1)
-        seed = camp.getint("seed", DEFAULT_SEED)
+        ints = {key: camp.getint(key, default) for key, default in _INT_DEFAULTS.items()}
         cap_text = camp.get("budget_cap", "").strip()
         budget_cap = Money.from_usd(cap_text) if cap_text else None
         if not use:
@@ -174,30 +195,8 @@ def load_config(path: str) -> CampaignConfig:
             targets.append(profile)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    if shots < 1 or days < 1 or sweeps < 1 or DAY % sweeps:
-        raise ConfigError("shots/days/sweeps_per_day must be positive (sweeps divide a day)")
-    # a sweep's last slot must come before the next sweep's first, so every
-    # slot has its own clock and a store is written in (submitted_at, job_id) order
-    slots = len(targets) * len(qubits)
-    if (slots - 1) * SUBMIT_SPACING >= DAY // sweeps:
-        raise ConfigError(
-            f"sweeps_per_day = {sweeps} leaves {DAY // sweeps} s a sweep, too short for"
-            f" {slots} slots {SUBMIT_SPACING} s apart"
-        )
-    if budget_cap is not None and budget_cap.micros < 0:
-        raise ConfigError("budget_cap must be >= 0")
-    if not 0 <= seed < 1 << 64:  # rng folds a seed to 64 bits; wider ones would alias
-        raise ConfigError(f"seed {seed} is not in [0, 2**64)")
-    return CampaignConfig(
-        qubits=qubits,
-        shots=shots,
-        days=days,
-        sweeps_per_day=sweeps,
-        seed=seed,
-        store=camp.get("store", None),
-        budget_cap=budget_cap,
-        targets=tuple(targets),
-    )
+    store = camp.get("store")
+    return CampaignConfig(qubits, **ints, store=store, budget_cap=budget_cap, targets=tuple(targets))
 
 
 def _jobs(cfg: CampaignConfig) -> Iterator[tuple[int, TargetProfile, int, int, str]]:

@@ -31,10 +31,10 @@ display and each reader one unrolled run of checks, each built with ``exec``
 the way ``dataclasses`` builds ``__init__``.  Equal stored censuses and costs
 decode, after their checks, to one shared object.  Reads check every value
 against its declared type (the keys of an object field too), then the rules
-across fields (``_validate``, which ``validate`` runs too).  That is one
-reader per field set, ``read(obj) -> (job_id, held)``, compiled once per
-field tuple; ``from_dict`` returns the record.  ``append`` reads each record's
-stored form the same way, so it refuses what the open refuses (the open adds
+across fields (``_validate``).  That is one reader per field set,
+``read(obj) -> (job_id, held)``, compiled once per field tuple; ``from_dict``
+returns the record.  ``append`` and ``validate`` read each record's stored form
+the same way, so they refuse what the open refuses (the open adds
 ``path:line``), and ``JobStore`` holds each field as its declared type.
 Timestamps are integer seconds from the campaign epoch.  Query supports
 equality on any field and range operators via
@@ -118,7 +118,8 @@ class JobRecord:
         return JobStore._read(obj)[1]
 
     def validate(self) -> None:
-        _validate(*attrgetter(*_VALIDATED)(self))
+        """Raise StoreError, with ``append``'s text, for anything ``append`` refuses."""
+        JobStore._read(self.to_dict())
 
 
 def _validate(job_id, qubits, shots, status, cost, executed_at, predicted_wait, actual_wait,

@@ -7,6 +7,7 @@ import pytest
 from qbench.circuit import (
     Circuit,
     Gate,
+    GateCensus,
     GateKind,
     build_benchmark,
     census,
@@ -89,6 +90,17 @@ def test_census_matches_closed_form(q):
         got = census(c)
         n_1q, n_2q = _expected_census(q, n)
         assert (got.n_1q, got.n_2q, got.total) == (n_1q, n_2q, n_1q + n_2q)
+
+
+@pytest.mark.parametrize("counts", [(-1, 0), (0, -1), (-5, -5)])
+def test_census_refuses_a_count_below_zero(counts):
+    with pytest.raises(ValueError, match=r"^gate counts must be >= 0: GateCensus\("):
+        GateCensus(*counts)
+
+
+def test_census_checks_the_sign_only():
+    assert GateCensus(0, 0).total == 0
+    assert GateCensus(1.0, 2.0).total == 3.0  # the store refuses its type, not the census
 
 
 def test_census_grows_quadratically():

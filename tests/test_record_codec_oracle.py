@@ -37,6 +37,8 @@ from qbench.store import (
     JobStore,
     StoreError,
     _RowStore,
+    _VALIDATED,
+    _validate,
 )
 from test_report_oracle import every_status_records
 from test_store import _forged_money, _random_fixture, make_record, processed_record, write_store
@@ -160,7 +162,8 @@ def walk_from_dict(obj) -> JobRecord:
     if obj.keys() != RECORD_FIELDS.keys():
         raise StoreError(f"missing or unknown keys {sorted(obj.keys() ^ RECORD_FIELDS.keys())}")
     record = JobRecord(**{name: walk_field(name, obj[name]) for name in _CODECS})
-    record.validate()
+    # the rules across fields themselves: ``validate`` runs the generated reader this checks
+    _validate(*attrgetter(*_VALIDATED)(record))
     return record
 
 
@@ -313,6 +316,13 @@ def _bad_total(obj, draw):
     return _set(obj, "census", {"n_1q": n_1q, "n_2q": n_2q, "total": total})
 
 
+def _negative_census(obj, draw):
+    """A census whose keys and total are right but that holds a count below 0."""
+    n_1q, n_2q = draw(st.integers(-100, 100)), draw(st.integers(-100, -1))
+    n_1q, n_2q = draw(st.permutations([n_1q, n_2q]))
+    return _set(obj, "census", {"n_1q": n_1q, "n_2q": n_2q, "total": n_1q + n_2q})
+
+
 def _census_keys(obj, draw):
     keys = st.sampled_from(["n_1q", "n_2q", "total", "n_3q", 1])
     return _set(obj, "census", {k: draw(st.integers(0, 100)) for k in draw(st.sets(keys))})
@@ -336,6 +346,7 @@ CORRUPTIONS = {
     "extra-key": _extra_key,
     "unknown-status": _retyped(["status"], TEXT),
     "census-total": _bad_total,
+    "census-negative": _negative_census,
     "census-keys": _census_keys,
     "counts-keys": _counts_keys,
     "non-finite-float": _retyped(FLOAT_FIELDS, st.sampled_from([math.nan, math.inf, -math.inf])),
@@ -366,6 +377,17 @@ def test_generated_encoder_flattens_any_value_as_the_walk_does(record, name, val
     assert repr(stored) == repr(walk_to_dict(record))
     assert _encoded(stored) == _encoded(walk_to_dict(record))
     assert _outcome(JobRecord.from_dict, stored) == _outcome(walk_from_dict, stored)
+
+
+@CODEC_SETTINGS
+@given(records(), FIELDS, ANY_VALUE)
+def test_validate_refuses_any_value_as_append_does(scratch_dir, record, name, value):
+    """``validate`` refuses a record exactly when ``append`` does, in the same words,
+    whatever a field holds; it raises nothing but StoreError."""
+    record = dataclasses.replace(record, **{name: value})
+    appended = _appended(JobStore, scratch_dir / "log.jsonl", record.to_dict())
+    want = ("made", "None") if appended[0] == "made" else appended
+    assert _outcome(JobRecord.validate, record) == want
 
 
 @CODEC_SETTINGS

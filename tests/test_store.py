@@ -200,7 +200,7 @@ def _forged_money(micros):
     return money
 
 
-# records whose stored form the open refuses; most pass their own validate()
+# records whose stored form the open refuses, and so append and validate() too
 APPEND_REFUSES = {
     # a job that never ran holds no result, not even one of the three
     "error-with-fidelity": make_record(0, status=JobStatus.ERROR, fidelity=0.5),
@@ -212,7 +212,7 @@ APPEND_REFUSES = {
     "float-cost": make_record(0, cost=_forged_money(1.5)),
     "float-census": make_record(0, census=GateCensus(1.0, 2.0)),
     "bool-count": processed_record(0, shots=1, counts={"0101": True}),
-    # validate() skips its unavailable check for a status held as text
+    # a status held as its text is read as the status it names
     "billed-unavailable-text": make_record(0, status="unavailable", cost=Money(5)),
     # a line cannot hold these: JSON writes the key 6 as "6", and cannot sort 6 with "6"
     "int-count-key": processed_record(0, counts={6: 500}),
@@ -221,6 +221,11 @@ APPEND_REFUSES = {
     "negative-count": processed_record(0, counts={"0000": 501, "0001": -1}),
     "zero-count": processed_record(0, counts={"0000": 500, "0011": 0}),
     "processed-without-census": processed_record(0, census=None),
+    # values of the wrong type, which validate() once met with TypeError or AttributeError
+    "text-qubits": make_record(0, qubits="8"),
+    "none-shots": make_record(0, shots=None),
+    "text-cost": make_record(0, cost="0"),
+    "list-census": make_record(0, census=[1, 2]),
 }
 
 # JSON object keys are always text, so only the Python API can hand these in
@@ -248,6 +253,21 @@ def test_append_refuses_what_the_open_refuses(tmp_path, case):
     with pytest.raises(StoreError) as opened:
         JobStore(path)
     assert str(opened.value) == f"{path}:2: {refused.value}"
+
+
+def _refusal(check, record):
+    """The text of the StoreError ``check(record)`` raises; any other outcome fails."""
+    with pytest.raises(StoreError) as refused:
+        check(record)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("case", sorted(APPEND_REFUSES))
+def test_validate_refuses_what_append_refuses_in_its_words(tmp_path, case):
+    record = APPEND_REFUSES[case]
+    with JobStore(tmp_path / "log.jsonl") as store:
+        assert _refusal(JobRecord.validate, record) == _refusal(store.append, record)
+    assert len(store) == 0
 
 
 @pytest.mark.parametrize("field", ["predicted_wait", "actual_wait"])
@@ -288,6 +308,17 @@ def test_negative_wait_is_refused_by_append_and_by_the_open(tmp_path, field, val
         JobStore(path)
 
 
+def test_a_census_holding_a_negative_count_is_refused_by_the_open(tmp_path):
+    stored = processed_record(0).to_dict()
+    stored["census"] = {"n_1q": -5, "n_2q": 0, "total": -5}
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(stored, sort_keys=True, separators=(",", ":")) + "\n")
+    why = "census: gate counts must be >= 0: GateCensus(n_1q=-5, n_2q=0)"
+    with pytest.raises(StoreError) as refused:
+        JobStore(path)
+    assert str(refused.value) == f"{path}:1: {why}"
+
+
 def test_a_wait_of_zero_is_kept(tmp_path):
     record = processed_record(0, predicted_wait=0.0, actual_wait=0)
     assert list(write_store(tmp_path / "log.jsonl", [record]).records()) == [record]
@@ -296,7 +327,9 @@ def test_a_wait_of_zero_is_kept(tmp_path):
 def test_append_holds_the_record_a_reopen_reads(tmp_path):
     path = tmp_path / "log.jsonl"
     with JobStore(path) as store:
-        store.append(make_record(0, status="error", cost=5))  # stored forms, not the field types
+        record = make_record(0, status="error", cost=5)  # stored forms, not the field types
+        record.validate()  # as append, validate() passes them
+        store.append(record)
     held = store.get("job-0000")
     assert held.status is JobStatus.ERROR and held.cost == Money(5)
     assert JobStore(path).get("job-0000") == held
